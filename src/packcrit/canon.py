@@ -4,7 +4,7 @@ Color refinement first, then the canonical key is the lexicographically
 smallest upper-triangle bitstring over all orderings that respect the refined
 cells.  Automorphisms preserve refined colors, so restricting to
 cell-respecting orderings loses nothing.  The search is capped; callers get
-None past the cap and should skip caching for that graph.
+None past the cap.
 """
 
 from __future__ import annotations

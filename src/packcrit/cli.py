@@ -1,9 +1,11 @@
 """Command line front end: solve, profile criticality, generate families,
 and verify structural characterizations over corpora.
 
-Exit codes: 0 success (and zero disagreements for verify), 1 verification
-disagreement, 2 usage error, 3 graph6 parse error.  Output is deterministic
-for fixed inputs except the timing field.
+Exit codes: 0 success (and, for verify, zero disagreements and zero errors),
+1 verification disagreement or a graph whose check raised, 2 usage error,
+3 graph6 parse error.  A graph that raises becomes a row with status "error"
+and the exception in "error"; the other graphs of the batch still run.
+Output is deterministic for fixed inputs except the timing field.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from multiprocessing import Pool
 from . import __version__
 from .characterizations import theorem_check, theorem_ids
 from .corpus import load_corpus
-from .criticality import EdgeBoundViolation, criticality_report, edge_drop_profile
+from .criticality import EdgeBoundViolation, criticality_report, drop_profile
 from .families import (
     LabeledGraph,
     enumerate_block_graphs_diam2,
@@ -114,9 +116,9 @@ def _solve_task(task):
             rep = criticality_report(g, include_witnesses=opts.get("witness", False),
                                      deadline=deadline)
             try:
-                prof = edge_drop_profile(g, deadline=deadline)
+                prof = drop_profile(rep.chi_rho, rep.edge_values)
                 bound_ok = True
-            except EdgeBoundViolation as exc:
+            except EdgeBoundViolation:
                 prof = {}
                 bound_ok = False
             out = {"graph6": s, "n": g.n, "chi_rho": rep.chi_rho,
@@ -155,6 +157,9 @@ def _solve_task(task):
         raise ValueError("unknown task kind %r" % (kind,))
     except SolveTimeout:
         return {"graph6": s, "status": "timeout"}
+    except Exception as exc:
+        return {"graph6": s, "status": "error",
+                "error": "%s: %s" % (type(exc).__name__, exc)}
 
 
 def _run_tasks(kind, lines, opts, jobs):
@@ -229,7 +234,7 @@ def cmd_verify(args, argv, parser):
     started = time.monotonic()
     opts = {"timeout": args.timeout, "theorem": args.theorem_id}
     results = _run_tasks("verify", lines, opts, args.jobs)
-    checked = skipped = timeouts = 0
+    checked = skipped = timeouts = errors = 0
     disagreements = []
     positives = []
     for r in results:
@@ -237,6 +242,8 @@ def cmd_verify(args, argv, parser):
             skipped += 1
         elif r["status"] == "timeout":
             timeouts += 1
+        elif r["status"] == "error":
+            errors += 1
         else:
             checked += 1
             v = r["verdict"]
@@ -253,6 +260,7 @@ def cmd_verify(args, argv, parser):
         "skipped": skipped,
         "timeouts": timeouts,
         "disagreements": len(disagreements),
+        "errors": errors,
         "positives": sorted(positives),
         "timing": {"seconds": time.monotonic() - started},
         "version": __version__,
@@ -260,13 +268,13 @@ def cmd_verify(args, argv, parser):
     if args.format == "tsv":
         _print_tsv(disagreements,
                    ["theorem_id", "graph6", "structural_verdict", "ground_truth"])
-        print("# checked=%d skipped=%d timeouts=%d disagreements=%d"
-              % (checked, skipped, timeouts, len(disagreements)))
+        print("# checked=%d skipped=%d timeouts=%d disagreements=%d errors=%d"
+              % (checked, skipped, timeouts, len(disagreements), errors))
     else:
         for v in disagreements:
             print(json.dumps(v, sort_keys=True))
         print(json.dumps(summary, sort_keys=True))
-    return 1 if disagreements else 0
+    return 1 if disagreements or errors else 0
 
 
 def _generate(family, params, parser):

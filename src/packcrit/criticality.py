@@ -65,6 +65,29 @@ class CriticalityReport:
     vertex_witnesses: object = None
 
 
+def _edge_solves(g: Graph, chi: int, deadline):
+    """Exact solve of G-e for every edge e, hinted by chi(G) = chi."""
+    return {e: packing_chromatic_number(delete_edge(g, e), upper_bound=chi,
+                                        deadline=deadline)
+            for e in g.edges}
+
+
+def drop_profile(chi: int, edge_values) -> dict:
+    """Map each edge to (chi(G-e), drop) given the deleted values; a value
+    outside [edge_deletion_lower_bound(chi), chi] raises EdgeBoundViolation."""
+    floor = edge_deletion_lower_bound(chi)
+    out = {}
+    for e, val in edge_values.items():
+        if val > chi:
+            raise EdgeBoundViolation(
+                "edge %r: deleted value %d exceeds chi %d" % (e, val, chi))
+        if val < floor:
+            raise EdgeBoundViolation(
+                "edge %r: deleted value %d below guaranteed floor %d" % (e, val, floor))
+        out[e] = (val, chi - val)
+    return out
+
+
 def criticality_report(g: Graph, include_witnesses: bool = False,
                        deadline=None) -> CriticalityReport:
     """Exact per-edge and per-vertex deleted values plus the two verdicts.
@@ -73,14 +96,10 @@ def criticality_report(g: Graph, include_witnesses: bool = False,
     vertex; edge witnesses are colorings on the unchanged vertex set.
     """
     chi = packing_chromatic_number(g, deadline=deadline).value
-    edge_values = {}
-    edge_wit = {} if include_witnesses else None
-    for e in g.edges:
-        res = packing_chromatic_number(delete_edge(g, e), upper_bound=chi,
-                                       deadline=deadline)
-        edge_values[e] = res.value
-        if include_witnesses:
-            edge_wit[e] = res.witness
+    edge_res = _edge_solves(g, chi, deadline)
+    edge_values = {e: res.value for e, res in edge_res.items()}
+    edge_wit = ({e: res.witness for e, res in edge_res.items()}
+                if include_witnesses else None)
     vertex_values = {}
     vertex_wit = {} if include_witnesses else None
     for v in range(g.n):
@@ -97,52 +116,37 @@ def criticality_report(g: Graph, include_witnesses: bool = False,
                              vertex_crit, edge_wit, vertex_wit)
 
 
+def _every_deletion_drops(g: Graph, deleted, deadline) -> bool:
+    """True iff every graph in `deleted` colors with chi(G) - 1 colors;
+    one decision solve each, stopping at the first that does not."""
+    chi = packing_chromatic_number(g, deadline=deadline).value
+    return all(decide_packing_k_colorable(h, chi - 1, deadline=deadline)
+               is not None for h in deleted)
+
+
 def is_edge_critical(g: Graph, deadline=None) -> bool:
     """Early-exit edge-criticality: one decision solve per edge."""
-    if g.n == 0:
-        return False
-    if g.n == 1:
-        return True
+    if g.n <= 1:
+        return g.n == 1
     if g.min_degree() == 0:
         return False
-    chi = packing_chromatic_number(g, deadline=deadline).value
-    for e in g.edges:
-        if decide_packing_k_colorable(delete_edge(g, e), chi - 1,
-                                      deadline=deadline) is None:
-            return False
-    return True
+    return _every_deletion_drops(
+        g, (delete_edge(g, e) for e in g.edges), deadline)
 
 
 def is_vertex_critical(g: Graph, deadline=None) -> bool:
     """Early-exit vertex-criticality: one decision solve per vertex."""
-    if g.n == 0:
-        return False
-    if g.n == 1:
-        return True
-    chi = packing_chromatic_number(g, deadline=deadline).value
-    for v in range(g.n):
-        sub, _ = delete_vertex(g, v)
-        if decide_packing_k_colorable(sub, chi - 1, deadline=deadline) is None:
-            return False
-    return True
+    if g.n <= 1:
+        return g.n == 1
+    return _every_deletion_drops(
+        g, (delete_vertex(g, v)[0] for v in range(g.n)), deadline)
 
 
 def edge_drop_profile(g: Graph, deadline=None):
     """Map each edge to (chi(G-e), drop).  Bound breaches are hard errors."""
     chi = packing_chromatic_number(g, deadline=deadline).value
-    floor = edge_deletion_lower_bound(chi)
-    out = {}
-    for e in g.edges:
-        val = packing_chromatic_number(delete_edge(g, e), upper_bound=chi,
-                                       deadline=deadline).value
-        if val > chi:
-            raise EdgeBoundViolation(
-                "edge %r: deleted value %d exceeds chi %d" % (e, val, chi))
-        if val < floor:
-            raise EdgeBoundViolation(
-                "edge %r: deleted value %d below guaranteed floor %d" % (e, val, floor))
-        out[e] = (val, chi - val)
-    return out
+    return drop_profile(chi, {e: res.value for e, res in
+                              _edge_solves(g, chi, deadline).items()})
 
 
 def _conflict_pairs(colors, dist, k):

@@ -7,12 +7,15 @@ break: vertices with interchangeable distance profiles are forced into
 non-decreasing color order, which is safe because swapping colors between two
 such vertices preserves every distance constraint.
 
-The optimizer seeds an upper bound from the smaller of two cheap witnesses:
-color one maximum independent set 1 and everything else distinct, or color
-greedily in label order with the least legal color.  It then walks downward
-until the first infeasible palette size.  Values are memoized per exact
-adjacency and per canonical form; witnesses are always rebuilt by a fresh
-decision call so cache state never changes reported colorings.
+The optimizer works per connected component.  It starts from the smaller of
+two constructed colorings: one maximum independent set colored 1 and
+everything else distinct, or the least-legal-color greedy in label order.
+That palette is witnessed already, so the downward walk starts one below it
+and stops at the first infeasible palette; each feasible search replaces the
+kept witness.  A caller's hint below the construction is searched first and
+the walk climbs from it when it is infeasible.  Component witnesses are
+stitched back onto the original vertex ids.  The solver keeps no memo of
+its own between calls.
 """
 
 from __future__ import annotations
@@ -20,9 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .canon import canonical_key
 from .graphs import (
-    INFINITY,
     Graph,
     all_pairs_distances,
     connected_components,
@@ -216,71 +217,50 @@ def decide_packing_k_colorable(g: Graph, k: int, pinned=None, deadline=None):
     return _search(g, k, pinned, deadline)[0]
 
 
-_VALUE_MEMO: dict = {}
-_CANON_MEMO: dict = {}
-
-
-def clear_caches():
-    _VALUE_MEMO.clear()
-    _CANON_MEMO.clear()
-
-
-def _greedy_upper(g: Graph) -> int:
-    """Palette size of the least-legal-color greedy coloring in label order."""
+def _construction(g: Graph):
+    """Colors of the better of two search-free packing colorings: a maximum
+    independent set colored 1 and every other vertex its own color, or the
+    least-legal-color greedy in label order."""
     dist = all_pairs_distances(g).dist
-    colors = [0] * g.n
-    worst = 0
+    greedy = [0] * g.n
     for v in range(g.n):
         row = dist[v]
         c = 1
-        while any(colors[u] == c and row[u] <= c for u in range(v)):
+        while any(greedy[u] == c and row[u] <= c for u in range(v)):
             c += 1
-        colors[v] = c
-        if c > worst:
-            worst = c
-    return worst
+        greedy[v] = c
+    alpha_set = independence_number(g)[1]
+    fresh = iter(range(2, g.n + 2))
+    spread = tuple(1 if v in alpha_set else next(fresh) for v in range(g.n))
+    return min(spread, tuple(greedy), key=max)
 
 
 def _component_value(g: Graph, upper_bound, deadline):
-    """Chi-rho of a connected (or empty) graph, with memoization."""
-    exact = (g.n, g.rows)
-    if exact in _VALUE_MEMO:
-        return _VALUE_MEMO[exact], 0
-    # the canonical layer catches relabelings across corpus sweeps; above
-    # this size the enumeration cost outweighs any realistic reuse
-    ckey = canonical_key(g) if g.n <= 20 else None
-    if ckey is not None and ckey in _CANON_MEMO:
-        value = _CANON_MEMO[ckey]
-        _VALUE_MEMO[exact] = value
-        return value, 0
-
+    """Chi-rho of a connected (or empty) graph: (value, colors, nodes)."""
     if g.n == 0:
-        value, nodes = 0, 0
-    else:
-        alpha = independence_number(g)[0]
-        ub = min(g.n - alpha + 1, _greedy_upper(g))
-        if upper_bound is not None and upper_bound < ub:
-            ub = upper_bound
-        k = ub
-        witness, nodes = _search(g, k, {}, deadline)
-        if witness is None:
-            # caller's bound was below the optimum; climb until feasible
-            while witness is None:
-                k += 1
-                witness, extra = _search(g, k, {}, deadline)
-                nodes += extra
-        while k > 1:
-            lower, extra = _search(g, k - 1, {}, deadline)
+        return 0, (), 0
+    colors = _construction(g)
+    k = max(colors)
+    nodes = 0
+    if upper_bound is not None and upper_bound < k:
+        # the hint may be below the optimum: climb from it to the first
+        # feasible palette, short of the one the construction witnesses
+        for trial in range(upper_bound, k):
+            found, extra = _search(g, trial, {}, deadline)
             nodes += extra
-            if lower is None:
+            if found is not None:
+                colors, k = found, trial
                 break
-            k -= 1
-        value = k
-
-    _VALUE_MEMO[exact] = value
-    if ckey is not None:
-        _CANON_MEMO[ckey] = value
-    return value, nodes
+        if k > upper_bound:
+            # palette k - 1 was searched and is infeasible
+            return k, colors, nodes
+    while k > 1:
+        found, extra = _search(g, k - 1, {}, deadline)
+        nodes += extra
+        if found is None:
+            break
+        colors, k = found, k - 1
+    return k, colors, nodes
 
 
 def packing_chromatic_number(g: Graph, upper_bound=None, deadline=None) -> ChiRhoResult:
@@ -290,25 +270,21 @@ def packing_chromatic_number(g: Graph, upper_bound=None, deadline=None) -> ChiRh
     hint costs extra work but never changes the answer.
     """
     comps = connected_components(g)
-    total_nodes = 0
     if len(comps) <= 1:
-        value, nodes = _component_value(g, upper_bound, deadline)
+        value, colors, nodes = _component_value(g, upper_bound, deadline)
+        return ChiRhoResult(value, PackingColoring(colors), nodes)
+    # color classes never interact across components, so take the max and
+    # put each component's witness back on the original vertex ids
+    value = total_nodes = 0
+    colors = [0] * g.n
+    for comp in comps:
+        sub, kept = induced_subgraph(g, comp)
+        v, sub_colors, nodes = _component_value(sub, upper_bound, deadline)
         total_nodes += nodes
-    else:
-        # color classes never interact across components, so take the max
-        value = 0
-        for comp in comps:
-            sub, _ = induced_subgraph(g, comp)
-            v, nodes = _component_value(sub, upper_bound, deadline)
-            total_nodes += nodes
-            if v > value:
-                value = v
-    if g.n == 0:
-        return ChiRhoResult(0, PackingColoring(()), total_nodes)
-    witness = decide_packing_k_colorable(g, value, deadline=deadline)
-    if witness is None:
-        raise AssertionError("memoized value %d is infeasible; cache corrupt" % value)
-    return ChiRhoResult(value, PackingColoring(witness), total_nodes)
+        value = max(value, v)
+        for i, c in enumerate(sub_colors):
+            colors[kept[i]] = c
+    return ChiRhoResult(value, PackingColoring(tuple(colors)), total_nodes)
 
 
 def brute_force_chi_rho(g: Graph) -> int:

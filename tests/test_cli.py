@@ -64,8 +64,6 @@ class TestChirho:
 
     def test_timeout_status(self, capsys, monkeypatch):
         from packcrit import gen_sharpness_family
-        from packcrit.solver import clear_caches
-        clear_caches()
         g6 = emit_graph6(gen_sharpness_family(4).graph)
         monkeypatch.setattr("sys.stdin", io.StringIO(g6))
         code, rep = run_json(capsys, ["chirho", "--timeout", "0.01"])
@@ -78,13 +76,26 @@ class TestChirho:
             cli.main(["chirho"])
         assert exc.value.code == 3
 
+    def test_one_raising_graph_keeps_the_batch(self, capsys, monkeypatch, tmp_path):
+        real = cli.packing_chromatic_number
+
+        def flaky(g, **kw):
+            if g.n == 3:
+                raise RecursionError("maximum recursion depth exceeded")
+            return real(g, **kw)
+        monkeypatch.setattr(cli, "packing_chromatic_number", flaky)
+        p = tmp_path / "graphs.g6"
+        p.write_text("Bw\nA_\n")
+        code, rep = run_json(capsys, ["chirho", "--input", str(p)])
+        bad, good = rep["results"]
+        assert bad["status"] == "error"
+        assert bad["error"] == "RecursionError: maximum recursion depth exceeded"
+        assert good["status"] == "ok" and good["chi_rho"] == 2
+
     def test_determinism_modulo_timing(self, capsys):
-        # fresh caches before each run: the contract is about separate
-        # process invocations, which always start cold
-        from packcrit.solver import clear_caches
-        clear_caches()
+        # the contract is about separate process invocations; the solver
+        # keeps no state between calls, so two in-process runs stand in
         _, rep1 = run_json(capsys, ["chirho", "--corpus", "connected-le5"])
-        clear_caches()
         _, rep2 = run_json(capsys, ["chirho", "--corpus", "connected-le5"])
         rep1.pop("timing")
         rep2.pop("timing")
@@ -115,6 +126,18 @@ class TestCritical:
         r = rep["results"][0]
         assert r["vertex_critical"] is True
         assert "edge_critical" not in r
+
+    def test_folded_sweep_matches_standalone_profile(self, capsys):
+        from packcrit import edge_drop_profile, load_corpus
+        code, rep = run_json(capsys, ["critical", "--corpus", "connected-le5"])
+        graphs = load_corpus("connected-le5")
+        assert len(rep["results"]) == len(graphs)
+        for r, g in zip(rep["results"], graphs):
+            assert r["graph6"] == emit_graph6(g)
+            want = {cli._edge_key(e): list(vd)
+                    for e, vd in sorted(edge_drop_profile(g).items())}
+            assert r["edge_drop_profile"] == want
+            assert r["bound_ok"] is True
 
     def test_witnesses_serialized(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("Dqc\n"))  # C5
@@ -202,10 +225,23 @@ class TestVerify:
         summary = json.loads(lines[-1])
         assert summary["disagreements"] == 1
 
+    def test_error_rows_counted_and_fail_the_run(self, capsys, monkeypatch):
+        real = cli.theorem_check
+
+        def flaky(theorem_id, g, deadline=None):
+            if g.n == 3:
+                raise RecursionError("maximum recursion depth exceeded")
+            return real(theorem_id, g, deadline=deadline)
+        monkeypatch.setattr(cli, "theorem_check", flaky)
+        monkeypatch.setattr("sys.stdin", io.StringIO("Bw\nA_\n"))
+        code, out = run(capsys, ["verify", "small-critical-2"])
+        summary = json.loads(out.strip().splitlines()[-1])
+        assert summary["errors"] == 1
+        assert summary["checked"] == 1
+        assert code == 1
+
     def test_timeout_rows(self, capsys, monkeypatch):
-        from packcrit.solver import clear_caches
         from packcrit import gen_sharpness_family
-        clear_caches()
         g6 = emit_graph6(gen_sharpness_family(4).graph)
         monkeypatch.setattr("sys.stdin", io.StringIO(g6))
         code, out = run(capsys, ["verify", "edge-bound", "--timeout", "0.01"])

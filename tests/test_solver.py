@@ -15,7 +15,11 @@ from packcrit import (
     packing_chromatic_number,
 )
 from packcrit.corpus import all_graphs, connected_graphs
-from packcrit.solver import clear_caches
+
+
+def assert_optimal_witness(g, res):
+    assert is_valid_packing_coloring(g, res.witness)
+    assert res.witness.palette_size == res.value
 
 
 def path(n):
@@ -96,16 +100,21 @@ class TestValues:
     def test_disjoint_union_takes_max(self):
         g = disjoint_union(cycle(5), path(4))
         assert packing_chromatic_number(g).value == 4
+        assert_optimal_witness(g, packing_chromatic_number(g))
         g = disjoint_union(Graph.empty(1), complete(3))
         assert packing_chromatic_number(g).value == 3
+        assert_optimal_witness(g, packing_chromatic_number(g))
 
     def test_upper_bound_hint_is_safe(self):
         assert packing_chromatic_number(cycle(5), upper_bound=10).value == 4
+        assert_optimal_witness(cycle(5),
+                               packing_chromatic_number(cycle(5), upper_bound=10))
         # a hint that is too low must not be trusted
         assert packing_chromatic_number(cycle(5), upper_bound=2).value == 4
+        assert_optimal_witness(cycle(5),
+                               packing_chromatic_number(cycle(5), upper_bound=2))
 
     def test_node_count_reported(self):
-        clear_caches()
         res = packing_chromatic_number(cycle(5))
         assert res.node_count > 0
 
@@ -164,9 +173,9 @@ class TestDeterminism:
     def test_witness_stable_across_cache_states(self):
         g = cycle(7)
         first = packing_chromatic_number(g)
-        again = packing_chromatic_number(g)       # memo hit
-        clear_caches()
-        cold = packing_chromatic_number(g)        # cold solve
+        # the solver keeps no state between calls, so every solve is cold
+        again = packing_chromatic_number(g)
+        cold = packing_chromatic_number(g)
         assert first.witness.colors == again.witness.colors == cold.witness.colors
         assert first.value == again.value == cold.value
 
@@ -182,12 +191,10 @@ class TestDeterminism:
 class TestTimeout:
     def test_deadline_raises(self):
         g = gen_basic("cycle", 40).graph
-        clear_caches()
         with pytest.raises(SolveTimeout):
             packing_chromatic_number(g, deadline=time.monotonic() - 1.0)
 
     def test_expired_deadline_on_decide(self):
-        clear_caches()
         with pytest.raises(SolveTimeout):
             decide_packing_k_colorable(gen_basic("cycle", 40).graph, 3,
                                        deadline=time.monotonic() - 1.0)
