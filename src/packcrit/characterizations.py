@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 from .criticality import (
     EdgeBoundViolation,
+    _critical_given_chi,
+    _detour_colorable,
     edge_drop_profile,
-    detour_drop_criterion,
     is_edge_critical,
-    is_vertex_critical,
 )
 from .graph6 import emit_graph6
 from .graphs import (
@@ -30,7 +30,7 @@ from .graphs import (
     metric_summary,
 )
 from .families import LabeledGraph
-from .solver import packing_chromatic_number
+from .solver import decide_packing_k_colorable, packing_chromatic_number
 
 
 class ShapeError(ValueError):
@@ -261,26 +261,19 @@ def check_tree_equivalence(t: Graph, deadline=None) -> TheoremVerdict:
     every edge deletion are the same property."""
     if not is_tree(t):
         raise ShapeError("input must be a tree")
-    structural = is_vertex_critical(t, deadline=deadline)
-    truth = is_edge_critical(t, deadline=deadline)
+    chi = packing_chromatic_number(t, deadline=deadline).value
+    structural = _critical_given_chi(t, "vertex", chi, deadline)
+    truth = _critical_given_chi(t, "edge", chi, deadline)
     return TheoremVerdict("tree-equivalence", emit_graph6(t), structural, truth,
                           structural == truth, None)
 
 
-def _check_small(tid: str, target: int, g: Graph, deadline):
-    structural = classify_small_critical(g) == target
+def _check_critical_value(tid: str, structural: bool, target: int, g: Graph,
+                          deadline):
     chi = packing_chromatic_number(g, deadline=deadline).value
-    truth = chi == target and is_edge_critical(g, deadline=deadline)
+    truth = chi == target and _critical_given_chi(g, "edge", chi, deadline)
     return TheoremVerdict(tid, emit_graph6(g), structural, truth,
                           structural == truth, {"chi": chi})
-
-
-def _check_leafy(g: Graph, deadline):
-    structural = classify_4critical_leafy_unicyclic(g)
-    chi = packing_chromatic_number(g, deadline=deadline).value
-    truth = chi == 4 and is_edge_critical(g, deadline=deadline)
-    return TheoremVerdict("leafy-unicyclic-4critical", emit_graph6(g),
-                          structural, truth, structural == truth, {"chi": chi})
 
 
 def _check_edge_bound(g: Graph, deadline):
@@ -302,8 +295,9 @@ def _check_connected_critical(g: Graph, deadline):
 
 
 def _check_vertex_implication(g: Graph, deadline):
-    crit = is_edge_critical(g, deadline=deadline)
-    structural = (not crit) or is_vertex_critical(g, deadline=deadline)
+    chi = packing_chromatic_number(g, deadline=deadline).value
+    crit = _critical_given_chi(g, "edge", chi, deadline)
+    structural = (not crit) or _critical_given_chi(g, "vertex", chi, deadline)
     return TheoremVerdict("vertex-critical-implication", emit_graph6(g),
                           structural, True, structural, {"edge_critical": crit})
 
@@ -320,29 +314,27 @@ def _check_detour_drop(g: Graph, deadline):
         if metric_summary(h).diameter <= diam:
             continue
         dh = all_pairs_distances(h).dist
-        dropped = None
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if dh[u][v] <= diam:
-                    continue
-                if detour_drop_criterion(g, e, u, v, deadline=deadline):
-                    fired += 1
-                    if dropped is None:
-                        after = packing_chromatic_number(
-                            h, upper_bound=chi, deadline=deadline).value
-                        dropped = after < chi
-                    if not dropped:
-                        ok = False
+        hits = sum(1 for u in range(g.n) for v in range(u + 1, g.n)
+                   if dh[u][v] > diam
+                   and _detour_colorable(g, u, v, int(diam), chi, deadline))
+        fired += hits
+        # one decision at chi - 1 confirms the drop for every firing pair
+        if hits and decide_packing_k_colorable(
+                h, chi - 1, deadline=deadline) is None:
+            ok = False
     return TheoremVerdict("detour-drop", emit_graph6(g), ok, True, ok,
                           {"fired": fired})
 
 
 _REGISTRY = {
-    "small-critical-2": (lambda g: True,
-                         lambda g, d: _check_small("small-critical-2", 2, g, d)),
-    "small-critical-3": (lambda g: True,
-                         lambda g, d: _check_small("small-critical-3", 3, g, d)),
-    "leafy-unicyclic-4critical": (is_leafy_unicyclic, _check_leafy),
+    "small-critical-2": (lambda g: True, lambda g, d: _check_critical_value(
+        "small-critical-2", classify_small_critical(g) == 2, 2, g, d)),
+    "small-critical-3": (lambda g: True, lambda g, d: _check_critical_value(
+        "small-critical-3", classify_small_critical(g) == 3, 3, g, d)),
+    "leafy-unicyclic-4critical": (
+        is_leafy_unicyclic, lambda g, d: _check_critical_value(
+            "leafy-unicyclic-4critical",
+            classify_4critical_leafy_unicyclic(g), 4, g, d)),
     "diam2": (lambda g: is_connected(g) and metric_summary(g).diameter == 2,
               lambda g, d: check_diam2_characterization(g, deadline=d)),
     "block-diam2": (lambda g: is_connected(g)

@@ -7,6 +7,12 @@ a single vertex, or it has no isolated vertex and every edge deletion drops
 the value (a graph with an isolated vertex plus anything else can shed that
 vertex without changing the value, so it is never critical).
 
+Both routes walk one generator of deletions and apply that rule once.  The
+value sweep (criticality_report, edge_drop_profile) starts each exact G-e or
+G-v walk from G's optimal witness restricted to the remaining vertices, a
+valid coloring since a deletion is a subgraph; the early-exit verdicts make
+one decision at chi(G) - 1 per deletion, up to the first that does not drop.
+
 Deleting one edge can at most halve the value, in the precise sense
 chi(G) <= 2*chi(G-e) - 1, except in the degenerate situation where G-e is
 edgeless and chi(G-e) = 1 (then chi(G) = 2 is possible).  The floor below and
@@ -65,11 +71,31 @@ class CriticalityReport:
     vertex_witnesses: object = None
 
 
-def _edge_solves(g: Graph, chi: int, deadline):
-    """Exact solve of G-e for every edge e, hinted by chi(G) = chi."""
-    return {e: packing_chromatic_number(delete_edge(g, e), upper_bound=chi,
-                                        deadline=deadline)
-            for e in g.edges}
+def _deletions(g: Graph, kind: str):
+    """Each single deletion of one kind ("edge" or "vertex") as
+    (key, G - key, kept), where kept[new_id] is the original vertex id."""
+    if kind == "edge":
+        return ((e, delete_edge(g, e), range(g.n)) for e in g.edges)
+    return ((v, *delete_vertex(g, v)) for v in range(g.n))
+
+
+def _is_critical(g: Graph, kind: str, drops) -> bool:
+    """The criticality rule: K1 is critical, K0 is not, a graph with an
+    isolated vertex is not edge-critical, and otherwise every deletion must
+    drop.  drops yields one bool per deletion, consumed only as needed."""
+    if g.n <= 1:
+        return g.n == 1
+    if kind == "edge" and g.min_degree() == 0:
+        return False
+    return all(drops)
+
+
+def _solved_deletions(g: Graph, kind: str, witness, deadline):
+    """(key, result, kept) per deletion of one kind, each solve starting from
+    witness, an optimal coloring of G, restricted through kept."""
+    for key, h, kept in _deletions(g, kind):
+        start = [witness.colors[v] for v in kept]
+        yield key, packing_chromatic_number(h, start, deadline), kept
 
 
 def drop_profile(chi: int, edge_values) -> dict:
@@ -95,58 +121,47 @@ def criticality_report(g: Graph, include_witnesses: bool = False,
     Vertex witnesses map original vertex ids to colors, skipping the deleted
     vertex; edge witnesses are colorings on the unchanged vertex set.
     """
-    chi = packing_chromatic_number(g, deadline=deadline).value
-    edge_res = _edge_solves(g, chi, deadline)
-    edge_values = {e: res.value for e, res in edge_res.items()}
-    edge_wit = ({e: res.witness for e, res in edge_res.items()}
-                if include_witnesses else None)
-    vertex_values = {}
-    vertex_wit = {} if include_witnesses else None
-    for v in range(g.n):
-        sub, kept = delete_vertex(g, v)
-        res = packing_chromatic_number(sub, upper_bound=chi, deadline=deadline)
-        vertex_values[v] = res.value
-        if include_witnesses:
-            vertex_wit[v] = {kept[i]: c for i, c in enumerate(res.witness.colors)}
-    edge_crit = g.n == 1 or (
-        g.n >= 2 and g.min_degree() >= 1
-        and all(val < chi for val in edge_values.values()))
-    vertex_crit = g.n >= 1 and all(val < chi for val in vertex_values.values())
-    return CriticalityReport(chi, edge_values, vertex_values, edge_crit,
-                             vertex_crit, edge_wit, vertex_wit)
+    base = packing_chromatic_number(g, deadline=deadline)
+    chi = base.value
+    edges = list(_solved_deletions(g, "edge", base.witness, deadline))
+    verts = list(_solved_deletions(g, "vertex", base.witness, deadline))
+    edge_values = {e: res.value for e, res, _ in edges}
+    vertex_values = {v: res.value for v, res, _ in verts}
+    return CriticalityReport(
+        chi, edge_values, vertex_values,
+        _is_critical(g, "edge", (val < chi for val in edge_values.values())),
+        _is_critical(g, "vertex", (val < chi for val in vertex_values.values())),
+        {e: res.witness for e, res, _ in edges} if include_witnesses else None,
+        {v: dict(zip(kept, res.witness.colors)) for v, res, kept in verts}
+        if include_witnesses else None)
 
 
-def _every_deletion_drops(g: Graph, deleted, deadline) -> bool:
-    """True iff every graph in `deleted` colors with chi(G) - 1 colors;
-    one decision solve each, stopping at the first that does not."""
-    chi = packing_chromatic_number(g, deadline=deadline).value
-    return all(decide_packing_k_colorable(h, chi - 1, deadline=deadline)
-               is not None for h in deleted)
+def _critical_given_chi(g: Graph, kind: str, chi: int, deadline) -> bool:
+    """Early-exit verdict for one kind of deletion given chi = chi(G): one
+    decision at chi - 1 per deletion, up to the first that does not drop."""
+    return _is_critical(g, kind, (
+        decide_packing_k_colorable(h, chi - 1, deadline=deadline) is not None
+        for _, h, _ in _deletions(g, kind)))
 
 
 def is_edge_critical(g: Graph, deadline=None) -> bool:
     """Early-exit edge-criticality: one decision solve per edge."""
-    if g.n <= 1:
-        return g.n == 1
-    if g.min_degree() == 0:
-        return False
-    return _every_deletion_drops(
-        g, (delete_edge(g, e) for e in g.edges), deadline)
+    chi = packing_chromatic_number(g, deadline=deadline).value
+    return _critical_given_chi(g, "edge", chi, deadline)
 
 
 def is_vertex_critical(g: Graph, deadline=None) -> bool:
     """Early-exit vertex-criticality: one decision solve per vertex."""
-    if g.n <= 1:
-        return g.n == 1
-    return _every_deletion_drops(
-        g, (delete_vertex(g, v)[0] for v in range(g.n)), deadline)
+    chi = packing_chromatic_number(g, deadline=deadline).value
+    return _critical_given_chi(g, "vertex", chi, deadline)
 
 
 def edge_drop_profile(g: Graph, deadline=None):
     """Map each edge to (chi(G-e), drop).  Bound breaches are hard errors."""
-    chi = packing_chromatic_number(g, deadline=deadline).value
-    return drop_profile(chi, {e: res.value for e, res in
-                              _edge_solves(g, chi, deadline).items()})
+    base = packing_chromatic_number(g, deadline=deadline)
+    return drop_profile(base.value, {
+        e: res.value
+        for e, res, _ in _solved_deletions(g, "edge", base.witness, deadline)})
 
 
 def _conflict_pairs(colors, dist, k):
@@ -232,12 +247,13 @@ def detour_drop_criterion(g: Graph, e, u: int, v: int, deadline=None) -> bool:
     if all_pairs_distances(h).dist[u][v] <= diam:
         return False
     chi = packing_chromatic_number(g, deadline=deadline).value
-    k = int(diam)
-    for i in range(k, chi + 1):
-        for j in range(i + 1, chi + 1):
-            for pu, pv in ((u, v), (v, u)):
-                if decide_packing_k_colorable(
-                        g, chi, pinned={pu: i, pv: j},
-                        deadline=deadline) is not None:
-                    return True
-    return False
+    return _detour_colorable(g, u, v, int(diam), chi, deadline)
+
+
+def _detour_colorable(g: Graph, u: int, v: int, k: int, chi: int, deadline):
+    """Some chi-coloring of G, chi = chi(G), gives u and v distinct colors
+    both at least k: the coloring half of detour_drop_criterion."""
+    return any(decide_packing_k_colorable(g, chi, pinned={pu: i, pv: j},
+                                          deadline=deadline) is not None
+               for i in range(k, chi + 1) for j in range(i + 1, chi + 1)
+               for pu, pv in ((u, v), (v, u)))

@@ -7,15 +7,14 @@ break: vertices with interchangeable distance profiles are forced into
 non-decreasing color order, which is safe because swapping colors between two
 such vertices preserves every distance constraint.
 
-The optimizer works per connected component.  It starts from the smaller of
-two constructed colorings: one maximum independent set colored 1 and
-everything else distinct, or the least-legal-color greedy in label order.
-That palette is witnessed already, so the downward walk starts one below it
-and stops at the first infeasible palette; each feasible search replaces the
-kept witness.  A caller's hint below the construction is searched first and
-the walk climbs from it when it is infeasible.  Component witnesses are
-stitched back onto the original vertex ids.  The solver keeps no memo of
-its own between calls.
+The optimizer works per connected component.  It starts from the smallest
+palette among two constructed colorings (one maximum independent set colored
+1 and everything else distinct, or the least-legal-color greedy in label
+order) and the caller's start coloring, if given, restricted to the
+component.  That palette is witnessed already, so the downward walk starts
+one below it and stops at the first infeasible palette; each feasible search
+replaces the kept witness.  Component witnesses are stitched back onto the
+original vertex ids.  The solver keeps no memo of its own between calls.
 """
 
 from __future__ import annotations
@@ -199,21 +198,16 @@ def _search(g: Graph, k: int, pinned, deadline):
     return None, nodes
 
 
-def _check_pins(g: Graph, k: int, pinned):
+def decide_packing_k_colorable(g: Graph, k: int, pinned=None, deadline=None):
+    """Color tuple using colors 1..k honoring pins, or None if impossible."""
+    if k < 0:
+        raise ValueError("palette size must be nonnegative")
     pinned = dict(pinned or {})
     for v, c in pinned.items():
         if not 0 <= v < g.n:
             raise ValueError("pinned vertex %r outside graph" % (v,))
         if not 1 <= c <= k:
             raise ValueError("pinned color %r outside 1..%d" % (c, k))
-    return pinned
-
-
-def decide_packing_k_colorable(g: Graph, k: int, pinned=None, deadline=None):
-    """Color tuple using colors 1..k honoring pins, or None if impossible."""
-    if k < 0:
-        raise ValueError("palette size must be nonnegative")
-    pinned = _check_pins(g, k, pinned)
     return _search(g, k, pinned, deadline)[0]
 
 
@@ -235,25 +229,16 @@ def _construction(g: Graph):
     return min(spread, tuple(greedy), key=max)
 
 
-def _component_value(g: Graph, upper_bound, deadline):
-    """Chi-rho of a connected (or empty) graph: (value, colors, nodes)."""
+def _component_value(g: Graph, start, deadline):
+    """Chi-rho of a connected (or empty) graph: (value, colors, nodes),
+    walking down from the better of the construction and start (or None)."""
     if g.n == 0:
         return 0, (), 0
     colors = _construction(g)
+    if start is not None and max(start) < max(colors):
+        colors = start
     k = max(colors)
     nodes = 0
-    if upper_bound is not None and upper_bound < k:
-        # the hint may be below the optimum: climb from it to the first
-        # feasible palette, short of the one the construction witnesses
-        for trial in range(upper_bound, k):
-            found, extra = _search(g, trial, {}, deadline)
-            nodes += extra
-            if found is not None:
-                colors, k = found, trial
-                break
-        if k > upper_bound:
-            # palette k - 1 was searched and is infeasible
-            return k, colors, nodes
     while k > 1:
         found, extra = _search(g, k - 1, {}, deadline)
         nodes += extra
@@ -263,15 +248,20 @@ def _component_value(g: Graph, upper_bound, deadline):
     return k, colors, nodes
 
 
-def packing_chromatic_number(g: Graph, upper_bound=None, deadline=None) -> ChiRhoResult:
+def packing_chromatic_number(g: Graph, start=None, deadline=None) -> ChiRhoResult:
     """Exact packing chromatic number with an optimal witness coloring.
 
-    upper_bound, when given, must be a genuine upper bound hint; a too-small
-    hint costs extra work but never changes the answer.
+    start, when given, is a packing coloring of g, one color per vertex; the
+    walk begins below its palette when that beats the construction.  A start
+    that is not a packing coloring of g raises ValueError.
     """
+    if start is not None:
+        start = tuple(start)
+        if not is_valid_packing_coloring(g, start):
+            raise ValueError("start is not a packing coloring of the graph")
     comps = connected_components(g)
     if len(comps) <= 1:
-        value, colors, nodes = _component_value(g, upper_bound, deadline)
+        value, colors, nodes = _component_value(g, start, deadline)
         return ChiRhoResult(value, PackingColoring(colors), nodes)
     # color classes never interact across components, so take the max and
     # put each component's witness back on the original vertex ids
@@ -279,7 +269,8 @@ def packing_chromatic_number(g: Graph, upper_bound=None, deadline=None) -> ChiRh
     colors = [0] * g.n
     for comp in comps:
         sub, kept = induced_subgraph(g, comp)
-        v, sub_colors, nodes = _component_value(sub, upper_bound, deadline)
+        sub_start = None if start is None else tuple(start[v] for v in kept)
+        v, sub_colors, nodes = _component_value(sub, sub_start, deadline)
         total_nodes += nodes
         value = max(value, v)
         for i, c in enumerate(sub_colors):

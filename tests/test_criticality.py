@@ -18,7 +18,7 @@ from packcrit import (
     packing_chromatic_number,
     repair_coloring,
 )
-from packcrit.corpus import connected_graphs
+from packcrit.corpus import all_graphs, connected_graphs
 
 
 def path(n):
@@ -99,21 +99,25 @@ class TestReports:
         assert not rep.is_edge_critical
 
     def test_witnesses_check_out(self):
-        g = cycle(5)
-        rep = criticality_report(g, include_witnesses=True)
-        for e, w in rep.edge_witnesses.items():
-            h = delete_edge(g, e)
-            assert is_valid_packing_coloring(h, w)
-            assert w.palette_size <= rep.edge_values[e]
-        for v, w in rep.vertex_witnesses.items():
-            h, kept = delete_vertex(g, v)
-            colors = tuple(w[orig] for orig in kept)
-            assert is_valid_packing_coloring(h, colors)
-            assert max(colors) <= rep.vertex_values[v]
+        # two triangles joined by a bridge: deleting the bridge disconnects
+        bridged = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3),
+                                       (3, 4), (4, 5), (3, 5)])
+        for g in list(connected_graphs(5)) + [bridged]:
+            rep = criticality_report(g, include_witnesses=True)
+            for e, w in rep.edge_witnesses.items():
+                h = delete_edge(g, e)
+                assert is_valid_packing_coloring(h, w)
+                assert w.palette_size == rep.edge_values[e]
+            for v, w in rep.vertex_witnesses.items():
+                h, kept = delete_vertex(g, v)
+                colors = tuple(w[orig] for orig in kept)
+                assert is_valid_packing_coloring(h, colors)
+                assert max(colors, default=0) == rep.vertex_values[v]
 
     def test_fast_paths_agree_with_report(self):
-        # dual route: the early-exit predicates vs the full per-deletion table
-        for g in connected_graphs(5):
+        # dual route: the early-exit predicates vs the full per-deletion
+        # table, over isolated vertices, disconnected graphs, K1 and K0
+        for g in list(all_graphs(5)) + [Graph.empty(0)]:
             rep = criticality_report(g)
             assert is_edge_critical(g) == rep.is_edge_critical
             assert is_vertex_critical(g) == rep.is_vertex_critical

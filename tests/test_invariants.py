@@ -12,6 +12,7 @@ from packcrit import (
     canonical_key,
     decide_packing_k_colorable,
     delete_edge,
+    delete_vertex,
     disjoint_union,
     edge_deletion_lower_bound,
     emit_graph6,
@@ -86,7 +87,7 @@ class TestSolverInvariants:
 
     @SETTINGS
     @given(graphs())
-    def test_upper_bound_via_independence(self, g):
+    def test_bounded_via_independence(self, g):
         if g.n == 0:
             return
         alpha = independence_number(g)[0]
@@ -131,6 +132,25 @@ class TestEdgeDeletion:
         m = base.value
         cap = 2 if m <= 1 else 2 * m - 1
         assert fixed.palette_size <= cap
+
+
+class TestStartFromParentWitness:
+    @SETTINGS
+    @given(graphs(max_n=7), st.integers(min_value=0, max_value=2 ** 30))
+    def test_deletions_match_oracle(self, g, seed):
+        # G's optimal witness, restricted, is a valid start for G-e and G-v
+        if g.n == 0:
+            return
+        colors = packing_chromatic_number(g).witness.colors
+        deleted = [delete_vertex(g, seed % g.n)]
+        if g.edges:
+            deleted.append((delete_edge(g, g.edges[seed % len(g.edges)]),
+                            range(g.n)))
+        for h, kept in deleted:
+            res = packing_chromatic_number(h, start=[colors[v] for v in kept])
+            assert res.value == brute_force_chi_rho(h)
+            assert is_valid_packing_coloring(h, res.witness)
+            assert res.witness.palette_size == res.value
 
 
 class TestDistances:

@@ -87,6 +87,10 @@ FROZEN_VALUES = [
 ]
 
 
+# triangle 0-2-4 with the path 0-1-3 hanging off vertex 0
+TRIANGLE_WITH_TAIL = Graph.from_edges(5, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 4)])
+
+
 class TestValues:
     @pytest.mark.parametrize("make,want", FROZEN_VALUES)
     def test_frozen_value(self, make, want):
@@ -105,14 +109,43 @@ class TestValues:
         assert packing_chromatic_number(g).value == 3
         assert_optimal_witness(g, packing_chromatic_number(g))
 
-    def test_upper_bound_hint_is_safe(self):
-        assert packing_chromatic_number(cycle(5), upper_bound=10).value == 4
-        assert_optimal_witness(cycle(5),
-                               packing_chromatic_number(cycle(5), upper_bound=10))
-        # a hint that is too low must not be trusted
-        assert packing_chromatic_number(cycle(5), upper_bound=2).value == 4
-        assert_optimal_witness(cycle(5),
-                               packing_chromatic_number(cycle(5), upper_bound=2))
+    def test_start_coloring(self):
+        g = cycle(5)
+        for start in [(1, 2, 1, 3, 4), (1, 2, 3, 4, 5)]:
+            res = packing_chromatic_number(g, start=start)
+            assert res.value == 4
+            assert_optimal_witness(g, res)
+
+    def test_walk_starts_from_the_better_coloring(self):
+        # both constructions use 4 colors here, one more than the optimum
+        g = TRIANGLE_WITH_TAIL
+        plain = packing_chromatic_number(g)
+        best = packing_chromatic_number(g, start=(3, 1, 1, 2, 2))
+        worse = packing_chromatic_number(g, start=(1, 2, 3, 4, 5))
+        assert plain.value == best.value == worse.value == 3
+        assert_optimal_witness(g, best)
+        assert best.node_count < plain.node_count
+        assert worse.node_count == plain.node_count
+
+    def test_start_split_per_component(self):
+        g = disjoint_union(cycle(5), TRIANGLE_WITH_TAIL)
+        res = packing_chromatic_number(g, start=(1, 2, 1, 3, 4, 3, 1, 1, 2, 2))
+        assert res.value == 4
+        assert_optimal_witness(g, res)
+        # each component walks from its own slice of the start
+        parts = [packing_chromatic_number(cycle(5), start=(1, 2, 1, 3, 4)),
+                 packing_chromatic_number(TRIANGLE_WITH_TAIL,
+                                          start=(3, 1, 1, 2, 2))]
+        assert res.node_count == sum(p.node_count for p in parts)
+
+    @pytest.mark.parametrize("start", [
+        (1, 2, 1, 3),           # wrong length
+        (0, 2, 1, 3, 4),        # color 0
+        (1, 1, 2, 3, 4),        # adjacent vertices both colored 1
+    ])
+    def test_bad_start_rejected(self, start):
+        with pytest.raises(ValueError):
+            packing_chromatic_number(cycle(5), start=start)
 
     def test_node_count_reported(self):
         res = packing_chromatic_number(cycle(5))
