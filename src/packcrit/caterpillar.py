@@ -16,9 +16,16 @@ unless their spine vertex does, adjacent spine vertices cannot both take
 >= 2.  When the spine vertex takes a color >= 2, recoloring every leaf to
 1 keeps any valid completion valid, so only that assignment is explored.
 
-The sweep runs in O(n * S * B) for a state space S bounded by
-2 * (k+2)!/3! and per-state branching B; for the values caterpillars can
-need (never more than seven) this is fast even on hundreds of vertices.
+The state space S is bounded by 2 * (k+2)!/3! and depends only on k, so
+one decision expands each (state, leaf count) pair once, at a cost of the
+per-state branching B, and every later spine position that meets the
+pair again is a table lookup: at most S expansions per distinct leaf
+count, plus one lookup per frontier state per position.  The table is
+built per call, shared by the call's components and dropped when it
+returns.  Each position's frontier keeps the
+insertion order of the states it reached, so the sweep and its witness
+are deterministic.  For the values caterpillars can need (never more than
+seven) this is fast even on hundreds of vertices.
 The general solver in this package proves the same answers by search on
 small instances; the test suite pins the two routes together.
 """
@@ -92,43 +99,60 @@ def caterpillar_from_profile(leaf_counts) -> LabeledGraph:
     return LabeledGraph(Graph.from_edges(nxt, edges), labels)
 
 
-def _sweep(counts, k):
+def _moves(state, cnt, k, caps):
+    """Legal (next_state, (spine_color, leaf_colorset)) pairs from state at a
+    spine position with cnt leaves."""
+    out = []
+    bit, w = state
+    if not bit and k >= 1:
+        avail = [c for c in range(2, k + 1) if w[c - 2] >= c]
+        if len(avail) >= cnt:
+            for S in combinations(avail, cnt):
+                w2 = list(w)
+                for c in S:
+                    # a leaf use sits one step off the spine, so its
+                    # clearance starts at 1, not 0
+                    w2[c - 2] = 1
+                nstate = (True, tuple(min(x + 1, caps[i])
+                                      for i, x in enumerate(w2)))
+                out.append((nstate, (1, S)))
+    for cs in range(2, k + 1):
+        if w[cs - 2] < cs + 1:
+            continue
+        w2 = list(w)
+        w2[cs - 2] = 0
+        nstate = (False, tuple(min(x + 1, caps[i])
+                               for i, x in enumerate(w2)))
+        out.append((nstate, (cs, ())))
+    return out
+
+
+def _sweep(counts, k, moves):
     """Feasibility sweep; returns per-position (spine_color, leaf_colorset)
-    choices for one valid coloring, or None."""
+    choices for one valid coloring, or None.
+
+    moves maps (state, leaf count) to that pair's _moves list.  It belongs
+    to one decide call, so each pair is expanded once per call and every
+    later position with the same pair is a lookup.  The frontier is the
+    previous position's dict, visited in insertion order.
+    """
     caps = tuple(c + 1 for c in range(2, k + 1))
-    start = (False, caps)
-    frontier = {start}
+    frontier = ((False, caps),)
     parents = []
     for cnt in counts:
         step: dict = {}
-        for state in sorted(frontier):
-            bit, w = state
-            if not bit and k >= 1:
-                avail = [c for c in range(2, k + 1) if w[c - 2] >= c]
-                if len(avail) >= cnt:
-                    for S in combinations(avail, cnt):
-                        w2 = list(w)
-                        for c in S:
-                            # a leaf use sits one step off the spine, so its
-                            # clearance starts at 1, not 0
-                            w2[c - 2] = 1
-                        nstate = (True, tuple(min(x + 1, caps[i])
-                                              for i, x in enumerate(w2)))
-                        if nstate not in step:
-                            step[nstate] = (state, (1, S))
-            for cs in range(2, k + 1):
-                if w[cs - 2] < cs + 1:
-                    continue
-                w2 = list(w)
-                w2[cs - 2] = 0
-                nstate = (False, tuple(min(x + 1, caps[i])
-                                       for i, x in enumerate(w2)))
+        for state in frontier:
+            key = (state, cnt)
+            succ = moves.get(key)
+            if succ is None:
+                succ = moves[key] = _moves(state, cnt, k, caps)
+            for nstate, choice in succ:
                 if nstate not in step:
-                    step[nstate] = (state, (cs, ()))
+                    step[nstate] = (state, choice)
         if not step:
             return None
         parents.append(step)
-        frontier = set(step)
+        frontier = step
     choices = []
     state = min(frontier)
     for step in reversed(parents):
@@ -138,38 +162,35 @@ def _sweep(counts, k):
     return choices
 
 
-def _color_component(g: Graph, verts, k, colors) -> bool:
-    sub, kept = induced_subgraph(g, verts)
-    counts, spine, leaves = caterpillar_profile(sub)
-    choices = _sweep(counts, k)
-    if choices is None:
-        return False
-    for i, (cs, S) in enumerate(choices):
-        colors[kept[spine[i]]] = cs
-        if cs == 1:
-            for leaf, c in zip(leaves[i], S):
-                colors[kept[leaf]] = c
-        else:
-            for leaf in leaves[i]:
-                colors[kept[leaf]] = 1
-    return True
-
-
 def decide_caterpillar_k_colorable(g: Graph, k: int) -> Optional[tuple]:
     """One packing k-coloring of a caterpillar forest, or None.
 
-    Every component of g must be a caterpillar; otherwise ValueError.
-    Same return convention as the general decision solver: a tuple of
-    colors indexed by vertex, or None when no such coloring exists.
+    Every component of g must be a caterpillar; otherwise ValueError, for
+    any k.  Same return convention as the general decision solver: a tuple
+    of colors indexed by vertex, or None when no such coloring exists.
     """
     if g.n == 0:
         return ()
+    parts = []
+    for comp in connected_components(g):
+        sub, kept = induced_subgraph(g, comp)
+        parts.append((kept, caterpillar_profile(sub)))
     if k <= 0:
         return None
     colors = [0] * g.n
-    for comp in connected_components(g):
-        if not _color_component(g, comp, k, colors):
+    moves: dict = {}
+    for kept, (counts, spine, leaves) in parts:
+        choices = _sweep(counts, k, moves)
+        if choices is None:
             return None
+        for i, (cs, S) in enumerate(choices):
+            colors[kept[spine[i]]] = cs
+            if cs == 1:
+                for leaf, c in zip(leaves[i], S):
+                    colors[kept[leaf]] = c
+            else:
+                for leaf in leaves[i]:
+                    colors[kept[leaf]] = 1
     return tuple(colors)
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from packcrit import (
     Graph,
@@ -24,6 +25,25 @@ from packcrit.canon import canonical_key
 
 def comb(length, teeth):
     return caterpillar_from_profile([teeth] * length).graph
+
+
+# three legs of length two from a center: smallest non-caterpillar tree
+SPIDER = Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+
+
+@st.composite
+def caterpillars(draw, max_n=30):
+    """A relabelled caterpillar of at most max_n vertices."""
+    length = draw(st.integers(min_value=1, max_value=10))
+    budget = max_n - length
+    counts = []
+    for _ in range(length):
+        c = draw(st.integers(min_value=0, max_value=min(4, budget)))
+        budget -= c
+        counts.append(c)
+    g = caterpillar_from_profile(counts).graph
+    perm = draw(st.permutations(range(g.n)))
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 class TestProfile:
@@ -67,11 +87,9 @@ class TestProfile:
             caterpillar_profile(gen_basic("cycle", 4).graph)
 
     def test_rejects_spider(self):
-        # three legs of length two from a center: smallest non-caterpillar tree
-        g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-        assert not is_caterpillar(g)
+        assert not is_caterpillar(SPIDER)
         with pytest.raises(ValueError):
-            caterpillar_profile(g)
+            caterpillar_profile(SPIDER)
 
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
@@ -94,6 +112,15 @@ class TestDecide:
     def test_rejects_non_caterpillar_component(self):
         with pytest.raises(ValueError):
             decide_caterpillar_k_colorable(gen_net().graph, 5)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_rejects_any_bad_component_before_sweeping(self, k):
+        # an infeasible or empty palette must not hide a non-caterpillar
+        k2 = gen_basic("path", 2).graph
+        for g in (disjoint_union(k2, SPIDER), disjoint_union(SPIDER, k2),
+                  SPIDER):
+            with pytest.raises(ValueError):
+                decide_caterpillar_k_colorable(g, k)
 
     def test_witness_is_valid(self):
         g = comb(6, 2)
@@ -181,6 +208,24 @@ class TestFrozenThresholds:
 
 
 class TestAgainstGeneralSolverDeeper:
+    @settings(max_examples=40, deadline=None)
+    @given(caterpillars(), st.integers(min_value=0, max_value=2 ** 30))
+    def test_differential_random_caterpillars(self, g, pick):
+        # G and one G-e (a caterpillar forest) at chi and chi - 1
+        graphs = [g]
+        if g.edges:
+            graphs.append(delete_edge(g, g.edges[pick % len(g.edges)]))
+        for h in graphs:
+            chi = caterpillar_chi_rho(h)
+            for k in (chi, chi - 1):
+                mine = decide_caterpillar_k_colorable(h, k)
+                ref = decide_packing_k_colorable(h, k)
+                assert (mine is None) == (ref is None), (emit_graph6(h), k)
+                for colors in (mine, ref):
+                    if colors is not None:
+                        assert is_valid_packing_coloring(h, colors)
+                        assert max(colors) <= k
+
     def test_unsat_agreement_n20(self):
         # comb(5,3): both engines prove four colors impossible
         g = comb(5, 3)
