@@ -8,10 +8,18 @@ the value (a graph with an isolated vertex plus anything else can shed that
 vertex without changing the value, so it is never critical).
 
 Both routes walk one generator of deletions and apply that rule once.  The
-value sweep (criticality_report, edge_drop_profile) starts each exact G-e or
+generator yields one deletion per twin orbit of G.  Two vertices with
+identical distance rows away from each other (solver._twin_groups) have
+identical neighbourhoods away from each other, so swapping them is an
+automorphism of G, and so is any product of such swaps inside twin groups.
+All edges between the same two groups (or inside one group) therefore lie
+in one orbit, as do all vertices of one group, and their deletions are
+isomorphic: they share the value and the verdict, and a witness moves with
+the automorphism sigma as c'[sigma(v)] = c[v].  The value sweep
+(criticality_report, edge_drop_profile) starts each orbit's exact G-e or
 G-v walk from G's optimal witness restricted to the remaining vertices, a
 valid coloring since a deletion is a subgraph; the early-exit verdicts make
-one decision at chi(G) - 1 per deletion, up to the first that does not drop.
+one decision at chi(G) - 1 per orbit, up to the first that does not drop.
 
 Deleting one edge can at most halve the value, in the precise sense
 chi(G) <= 2*chi(G-e) - 1, except in the degenerate situation where G-e is
@@ -34,6 +42,7 @@ from .graphs import (
 from .solver import (
     PackingColoring,
     decide_packing_k_colorable,
+    _twin_groups,
     is_valid_packing_coloring,
     packing_chromatic_number,
 )
@@ -69,14 +78,51 @@ class CriticalityReport:
     is_vertex_critical: bool
     edge_witnesses: object = None
     vertex_witnesses: object = None
+    solves: int = 0
+
+
+def _carrier(n: int, group, rep, key):
+    """sigma, sigma[v] the image of v, that carries deletion rep onto key of
+    the same orbit (two vertices of one twin group, or two edges between the
+    same groups, endpoints paired by group).  It is a product of swaps inside
+    twin groups, hence an automorphism of G."""
+    if isinstance(rep, int):
+        rep, key = (rep,), (key,)
+    elif group[key[0]] != group[rep[0]]:
+        key = key[::-1]
+    sigma = list(range(n))
+    where = list(range(n))  # where[y]: the vertex sigma sends to y
+    for src, dst in zip(rep, key):
+        # follow sigma by the swap of sigma[src] and dst, both in one group
+        img, back = sigma[src], where[dst]
+        sigma[src], sigma[back] = dst, img
+        where[dst], where[img] = src, back
+    return sigma
 
 
 def _deletions(g: Graph, kind: str):
-    """Each single deletion of one kind ("edge" or "vertex") as
-    (key, G - key, kept), where kept[new_id] is the original vertex id."""
+    """One deletion per twin orbit of one kind ("edge" or "vertex") as
+    (key, G - key, kept, others): key is the orbit's first member in g.edges
+    or vertex order, kept[new_id] is the original vertex id, and others lists
+    (other_key, sigma) for the rest of the orbit, sigma an automorphism of G
+    carrying key onto other_key."""
+    group = [0] * g.n
+    for i, members in enumerate(_twin_groups(g)):
+        for v in members:
+            group[v] = i
+    orbits = {}
     if kind == "edge":
-        return ((e, delete_edge(g, e), range(g.n)) for e in g.edges)
-    return ((v, *delete_vertex(g, v)) for v in range(g.n))
+        for u, v in g.edges:
+            pair = tuple(sorted((group[u], group[v])))
+            orbits.setdefault(pair, []).append((u, v))
+    else:
+        for v in range(g.n):
+            orbits.setdefault(group[v], []).append(v)
+    for rep, *others in orbits.values():
+        h, kept = ((delete_edge(g, rep), range(g.n)) if kind == "edge"
+                   else delete_vertex(g, rep))
+        yield rep, h, kept, [(key, _carrier(g.n, group, rep, key))
+                             for key in others]
 
 
 def _is_critical(g: Graph, kind: str, drops) -> bool:
@@ -91,11 +137,24 @@ def _is_critical(g: Graph, kind: str, drops) -> bool:
 
 
 def _solved_deletions(g: Graph, kind: str, witness, deadline):
-    """(key, result, kept) per deletion of one kind, each solve starting from
-    witness, an optimal coloring of G, restricted through kept."""
-    for key, h, kept in _deletions(g, kind):
-        start = [witness.colors[v] for v in kept]
-        yield key, packing_chromatic_number(h, start, deadline), kept
+    """({key: (value, colors)} over every deletion of one kind in g.edges or
+    vertex order, number of exact solves).  colors maps G's remaining vertex
+    ids to colors.  Each orbit is solved once, starting from witness, an
+    optimal coloring of G, restricted through kept; the rest of the orbit
+    takes its value and its witness moved by sigma."""
+    solved = {}
+    solves = 0
+    for key, h, kept, others in _deletions(g, kind):
+        res = packing_chromatic_number(h, [witness.colors[v] for v in kept],
+                                       deadline)
+        solves += 1
+        colors = dict(zip(kept, res.witness.colors))
+        solved[key] = res.value, colors
+        for other, sigma in others:
+            solved[other] = res.value, dict(sorted(
+                (sigma[v], c) for v, c in colors.items()))
+    order = g.edges if kind == "edge" else range(g.n)
+    return {key: solved[key] for key in order}, solves
 
 
 def drop_profile(chi: int, edge_values) -> dict:
@@ -120,38 +179,43 @@ def criticality_report(g: Graph, include_witnesses: bool = False,
 
     Vertex witnesses map original vertex ids to colors, skipping the deleted
     vertex; edge witnesses are colorings on the unchanged vertex set.
+    solves counts the exact G-e and G-v solves, one per twin orbit.
     """
     base = packing_chromatic_number(g, deadline=deadline)
     chi = base.value
-    edges = list(_solved_deletions(g, "edge", base.witness, deadline))
-    verts = list(_solved_deletions(g, "vertex", base.witness, deadline))
-    edge_values = {e: res.value for e, res, _ in edges}
-    vertex_values = {v: res.value for v, res, _ in verts}
+    edges, edge_solves = _solved_deletions(g, "edge", base.witness, deadline)
+    verts, vertex_solves = _solved_deletions(g, "vertex", base.witness, deadline)
+    edge_values = {e: val for e, (val, _) in edges.items()}
+    vertex_values = {v: val for v, (val, _) in verts.items()}
     return CriticalityReport(
         chi, edge_values, vertex_values,
         _is_critical(g, "edge", (val < chi for val in edge_values.values())),
         _is_critical(g, "vertex", (val < chi for val in vertex_values.values())),
-        {e: res.witness for e, res, _ in edges} if include_witnesses else None,
-        {v: dict(zip(kept, res.witness.colors)) for v, res, kept in verts}
-        if include_witnesses else None)
+        {e: PackingColoring.from_mapping(g.n, colors)
+         for e, (_, colors) in edges.items()} if include_witnesses else None,
+        {v: colors for v, (_, colors) in verts.items()}
+        if include_witnesses else None,
+        edge_solves + vertex_solves)
 
 
 def _critical_given_chi(g: Graph, kind: str, chi: int, deadline) -> bool:
     """Early-exit verdict for one kind of deletion given chi = chi(G): one
-    decision at chi - 1 per deletion, up to the first that does not drop."""
+    decision at chi - 1 per twin orbit, up to the first that does not drop."""
     return _is_critical(g, kind, (
         decide_packing_k_colorable(h, chi - 1, deadline=deadline) is not None
-        for _, h, _ in _deletions(g, kind)))
+        for _, h, _, _ in _deletions(g, kind)))
 
 
 def is_edge_critical(g: Graph, deadline=None) -> bool:
-    """Early-exit edge-criticality: one decision solve per edge."""
+    """Early-exit edge-criticality: one decision solve per twin
+    orbit of edges."""
     chi = packing_chromatic_number(g, deadline=deadline).value
     return _critical_given_chi(g, "edge", chi, deadline)
 
 
 def is_vertex_critical(g: Graph, deadline=None) -> bool:
-    """Early-exit vertex-criticality: one decision solve per vertex."""
+    """Early-exit vertex-criticality: one decision solve per twin
+    orbit of vertices."""
     chi = packing_chromatic_number(g, deadline=deadline).value
     return _critical_given_chi(g, "vertex", chi, deadline)
 
@@ -159,9 +223,8 @@ def is_vertex_critical(g: Graph, deadline=None) -> bool:
 def edge_drop_profile(g: Graph, deadline=None):
     """Map each edge to (chi(G-e), drop).  Bound breaches are hard errors."""
     base = packing_chromatic_number(g, deadline=deadline)
-    return drop_profile(base.value, {
-        e: res.value
-        for e, res, _ in _solved_deletions(g, "edge", base.witness, deadline)})
+    edges, _ = _solved_deletions(g, "edge", base.witness, deadline)
+    return drop_profile(base.value, {e: val for e, (val, _) in edges.items()})
 
 
 def _conflict_pairs(colors, dist, k):

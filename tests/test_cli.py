@@ -113,6 +113,12 @@ class TestCritical:
         assert r["bound_ok"] is True
         assert set(r["edge_drop_profile"]) == {"0-1", "0-3", "1-2", "2-3"}
 
+    def test_solves_in_row(self, capsys, monkeypatch):
+        # C4: its four edges form one twin orbit, its vertices two
+        monkeypatch.setattr("sys.stdin", io.StringIO("Cl\n"))
+        code, rep = run_json(capsys, ["critical"])
+        assert rep["results"][0]["solves"] == 1 + 2
+
     def test_edge_mode_only(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))
         code, rep = run_json(capsys, ["critical", "--mode", "edge"])

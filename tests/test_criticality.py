@@ -18,7 +18,8 @@ from packcrit import (
     packing_chromatic_number,
     repair_coloring,
 )
-from packcrit.corpus import all_graphs, connected_graphs
+from packcrit.corpus import all_graphs, connected_graphs, load_corpus
+from packcrit.solver import _twin_groups
 
 
 def path(n):
@@ -102,7 +103,10 @@ class TestReports:
         # two triangles joined by a bridge: deleting the bridge disconnects
         bridged = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3),
                                        (3, 4), (4, 5), (3, 5)])
-        for g in list(connected_graphs(5)) + [bridged]:
+        # block graphs carry many twins, so most witnesses are moved ones
+        blocks = [lg.graph for lg in load_corpus("block-diam3-le12")
+                  if lg.graph.n <= 10]
+        for g in list(connected_graphs(5)) + [bridged] + blocks:
             rep = criticality_report(g, include_witnesses=True)
             for e, w in rep.edge_witnesses.items():
                 h = delete_edge(g, e)
@@ -114,6 +118,14 @@ class TestReports:
                 assert is_valid_packing_coloring(h, colors)
                 assert max(colors, default=0) == rep.vertex_values[v]
 
+    @pytest.mark.parametrize("g, solves", [
+        (gen_basic("star", 5).graph, 1 + 2),  # one edge orbit, two vertex orbits
+        (complete(4), 1 + 1),
+        (cycle(5), 5 + 5),  # no twins
+    ])
+    def test_solves_one_per_twin_orbit(self, g, solves):
+        assert criticality_report(g).solves == solves
+
     def test_fast_paths_agree_with_report(self):
         # dual route: the early-exit predicates vs the full per-deletion
         # table, over isolated vertices, disconnected graphs, K1 and K0
@@ -121,6 +133,20 @@ class TestReports:
             rep = criticality_report(g)
             assert is_edge_critical(g) == rep.is_edge_critical
             assert is_vertex_critical(g) == rep.is_vertex_critical
+
+
+class TestTwinOrbits:
+    def test_twin_swap_is_automorphism(self):
+        # _twin_groups compares each vertex with its group's first member
+        # only; the dedupe needs every swap inside a group to fix the edges
+        for g in all_graphs(6):
+            edges = set(g.edges)
+            for group in _twin_groups(g):
+                for i, a in enumerate(group):
+                    for b in group[i + 1:]:
+                        swap = {a: b, b: a}
+                        assert {tuple(sorted((swap.get(u, u), swap.get(v, v))))
+                                for u, v in edges} == edges
 
 
 class TestDropProfile:

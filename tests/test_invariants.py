@@ -10,6 +10,7 @@ from packcrit import (
     INFINITY,
     brute_force_chi_rho,
     canonical_key,
+    criticality_report,
     decide_packing_k_colorable,
     delete_edge,
     delete_vertex,
@@ -17,7 +18,9 @@ from packcrit import (
     edge_deletion_lower_bound,
     emit_graph6,
     independence_number,
+    is_edge_critical,
     is_valid_packing_coloring,
+    is_vertex_critical,
     packing_chromatic_number,
     parse_graph6,
     repair_coloring,
@@ -34,6 +37,23 @@ def graphs(draw, max_n=8):
                          max_size=len(pairs)))
     edges = [p for p, keep in zip(pairs, mask) if keep]
     return Graph.from_edges(n, edges)
+
+
+@st.composite
+def graphs_with_twins(draw, max_n=8):
+    """A random graph plus copies of its vertices as true or false twins,
+    randomly relabelled, up to max_n vertices in all."""
+    base = draw(graphs(max_n=max_n - 1))
+    n, edges = max(base.n, 1), set(base.edges)
+    for _ in range(draw(st.integers(min_value=1, max_value=max_n - n))):
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        edges |= {(w, n) for u, w in edges if u == v}
+        edges |= {(u, n) for u, w in edges if w == v}
+        if draw(st.booleans()):
+            edges.add((v, n))
+        n += 1
+    return relabeled(Graph.from_edges(n, edges),
+                     draw(st.integers(min_value=0, max_value=2 ** 30)))
 
 
 def relabeled(g, seed):
@@ -151,6 +171,30 @@ class TestStartFromParentWitness:
             assert res.value == brute_force_chi_rho(h)
             assert is_valid_packing_coloring(h, res.witness)
             assert res.witness.palette_size == res.value
+
+
+class TestTwinOrbitSweep:
+    @SETTINGS
+    @given(graphs_with_twins())
+    def test_report_matches_oracle(self, g):
+        # deletions in one twin orbit share a solve; each value, witness
+        # and verdict must still hold for its own deletion
+        rep = criticality_report(g, include_witnesses=True)
+        assert rep.chi_rho == brute_force_chi_rho(g)
+        for e in g.edges:
+            h = delete_edge(g, e)
+            w = rep.edge_witnesses[e]
+            assert rep.edge_values[e] == brute_force_chi_rho(h)
+            assert is_valid_packing_coloring(h, w)
+            assert w.palette_size == rep.edge_values[e]
+        for v in range(g.n):
+            h, kept = delete_vertex(g, v)
+            colors = tuple(rep.vertex_witnesses[v][u] for u in kept)
+            assert rep.vertex_values[v] == brute_force_chi_rho(h)
+            assert is_valid_packing_coloring(h, colors)
+            assert max(colors, default=0) == rep.vertex_values[v]
+        assert is_edge_critical(g) == rep.is_edge_critical
+        assert is_vertex_critical(g) == rep.is_vertex_critical
 
 
 class TestDistances:
