@@ -122,7 +122,8 @@ def _solve_task(task):
                 prof = {}
                 bound_ok = False
             out = {"graph6": s, "n": g.n, "chi_rho": rep.chi_rho,
-                   "solves": rep.solves, "status": "ok", "bound_ok": bound_ok}
+                   "solves": rep.solves, "nodes": rep.nodes, "status": "ok",
+                   "bound_ok": bound_ok}
             mode = opts.get("mode", "both")
             if mode in ("edge", "both"):
                 out["edge_critical"] = rep.is_edge_critical

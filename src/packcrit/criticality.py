@@ -19,7 +19,9 @@ the automorphism sigma as c'[sigma(v)] = c[v].  The value sweep
 (criticality_report, edge_drop_profile) starts each orbit's exact G-e or
 G-v walk from G's optimal witness restricted to the remaining vertices, a
 valid coloring since a deletion is a subgraph; the early-exit verdicts make
-one decision at chi(G) - 1 per orbit, up to the first that does not drop.
+one decision at chi(G) - 1 per orbit, up to the first that does not drop,
+except where the solver's neighborhood_lower_bound on the deletion already
+reaches chi(G) and proves it does not drop.
 
 Deleting one edge can at most halve the value, in the precise sense
 chi(G) <= 2*chi(G-e) - 1, except in the degenerate situation where G-e is
@@ -44,6 +46,7 @@ from .solver import (
     decide_packing_k_colorable,
     _twin_groups,
     is_valid_packing_coloring,
+    neighborhood_lower_bound,
     packing_chromatic_number,
 )
 
@@ -79,6 +82,7 @@ class CriticalityReport:
     edge_witnesses: object = None
     vertex_witnesses: object = None
     solves: int = 0
+    nodes: int = 0
 
 
 def _carrier(n: int, group, rep, key):
@@ -138,23 +142,24 @@ def _is_critical(g: Graph, kind: str, drops) -> bool:
 
 def _solved_deletions(g: Graph, kind: str, witness, deadline):
     """({key: (value, colors)} over every deletion of one kind in g.edges or
-    vertex order, number of exact solves).  colors maps G's remaining vertex
-    ids to colors.  Each orbit is solved once, starting from witness, an
-    optimal coloring of G, restricted through kept; the rest of the orbit
-    takes its value and its witness moved by sigma."""
+    vertex order, number of exact solves, their search nodes).  colors maps
+    G's remaining vertex ids to colors.  Each orbit is solved once, starting
+    from witness, an optimal coloring of G, restricted through kept; the
+    rest of the orbit takes its value and its witness moved by sigma."""
     solved = {}
-    solves = 0
+    solves = nodes = 0
     for key, h, kept, others in _deletions(g, kind):
         res = packing_chromatic_number(h, [witness.colors[v] for v in kept],
                                        deadline)
         solves += 1
+        nodes += res.node_count
         colors = dict(zip(kept, res.witness.colors))
         solved[key] = res.value, colors
         for other, sigma in others:
             solved[other] = res.value, dict(sorted(
                 (sigma[v], c) for v, c in colors.items()))
     order = g.edges if kind == "edge" else range(g.n)
-    return {key: solved[key] for key in order}, solves
+    return {key: solved[key] for key in order}, solves, nodes
 
 
 def drop_profile(chi: int, edge_values) -> dict:
@@ -179,12 +184,15 @@ def criticality_report(g: Graph, include_witnesses: bool = False,
 
     Vertex witnesses map original vertex ids to colors, skipping the deleted
     vertex; edge witnesses are colorings on the unchanged vertex set.
-    solves counts the exact G-e and G-v solves, one per twin orbit.
+    solves counts the exact G-e and G-v solves, one per twin orbit, and
+    nodes the search nodes of G's solve and of those solves.
     """
     base = packing_chromatic_number(g, deadline=deadline)
     chi = base.value
-    edges, edge_solves = _solved_deletions(g, "edge", base.witness, deadline)
-    verts, vertex_solves = _solved_deletions(g, "vertex", base.witness, deadline)
+    edges, edge_solves, edge_nodes = _solved_deletions(
+        g, "edge", base.witness, deadline)
+    verts, vertex_solves, vertex_nodes = _solved_deletions(
+        g, "vertex", base.witness, deadline)
     edge_values = {e: val for e, (val, _) in edges.items()}
     vertex_values = {v: val for v, (val, _) in verts.items()}
     return CriticalityReport(
@@ -195,14 +203,18 @@ def criticality_report(g: Graph, include_witnesses: bool = False,
          for e, (_, colors) in edges.items()} if include_witnesses else None,
         {v: colors for v, (_, colors) in verts.items()}
         if include_witnesses else None,
-        edge_solves + vertex_solves)
+        edge_solves + vertex_solves,
+        base.node_count + edge_nodes + vertex_nodes)
 
 
 def _critical_given_chi(g: Graph, kind: str, chi: int, deadline) -> bool:
-    """Early-exit verdict for one kind of deletion given chi = chi(G): one
-    decision at chi - 1 per twin orbit, up to the first that does not drop."""
+    """Early-exit verdict for one kind of deletion given chi = chi(G): per
+    twin orbit, a deletion whose neighborhood_lower_bound reaches chi does
+    not drop; any other takes one decision at chi - 1.  It stops at the
+    first deletion that does not drop."""
     return _is_critical(g, kind, (
-        decide_packing_k_colorable(h, chi - 1, deadline=deadline) is not None
+        neighborhood_lower_bound(h) < chi
+        and decide_packing_k_colorable(h, chi - 1, deadline=deadline) is not None
         for _, h, _, _ in _deletions(g, kind)))
 
 
@@ -223,7 +235,7 @@ def is_vertex_critical(g: Graph, deadline=None) -> bool:
 def edge_drop_profile(g: Graph, deadline=None):
     """Map each edge to (chi(G-e), drop).  Bound breaches are hard errors."""
     base = packing_chromatic_number(g, deadline=deadline)
-    edges, _ = _solved_deletions(g, "edge", base.witness, deadline)
+    edges = _solved_deletions(g, "edge", base.witness, deadline)[0]
     return drop_profile(base.value, {e: val for e, (val, _) in edges.items()})
 
 

@@ -12,9 +12,15 @@ palette among two constructed colorings (one maximum independent set colored
 1 and everything else distinct, or the least-legal-color greedy in label
 order) and the caller's start coloring, if given, restricted to the
 component.  That palette is witnessed already, so the downward walk starts
-one below it and stops at the first infeasible palette; each feasible search
-replaces the kept witness.  Component witnesses are stitched back onto the
-original vertex ids.  The solver keeps no memo of its own between calls.
+one below it and stops at the first infeasible palette or at
+neighborhood_lower_bound, whichever comes first; each feasible search
+replaces the kept witness.  The bound counts colors inside closed
+neighbourhoods (every color >= 2 appears at most once in one, color 1 on an
+independent set), so where it meets the witnessed palette no unsatisfiable
+search is needed to prove optimality.  The search keeps its own stack, so
+no graph size meets Python's recursion limit.  Component witnesses are
+stitched back onto the original vertex ids.  The solver keeps no memo of
+its own between calls.
 """
 
 from __future__ import annotations
@@ -143,59 +149,72 @@ def _search(g: Graph, k: int, pinned, deadline):
     ordered_groups.sort(key=lambda ms: (-g.degree(ms[0]), ms[0]))
     order = sorted(pinset) + [v for ms in ordered_groups for v in ms]
 
+    # depth-first over order with an explicit stack: untried[i] holds the
+    # colors not yet tried at depth i and trail[i] the domain changes made by
+    # the color on trial there, so no graph size meets the recursion limit
     colors = [0] * n
+    untried = [0] * n
+    trail = [()] * n
     unassigned = (1 << n) - 1
     nodes = 0
-    ticker = 0
-
-    def dfs(idx: int) -> bool:
-        nonlocal unassigned, nodes, ticker
+    idx = 0
+    while True:
         if idx == n:
-            return True
+            return tuple(colors), nodes
         v = order[idx]
-        dom = domains[v]
-        pred = twin_pred[v]
-        if pred is not None:
-            # twins take colors in non-decreasing id order
-            dom &= ~((1 << (colors[pred] - 1)) - 1)
-        unassigned &= ~(1 << v)
-        m = dom
+        if colors[v] == 0:
+            # first visit at this depth
+            dom = domains[v]
+            pred = twin_pred[v]
+            if pred is not None:
+                # twins take colors in non-decreasing id order
+                dom &= ~((1 << (colors[pred] - 1)) - 1)
+            unassigned &= ~(1 << v)
+            m = dom
+        else:
+            # back from a subtree that failed: undo the color on trial
+            for u, du in trail[idx]:
+                domains[u] = du
+            m = untried[idx]
+        conflict_v = conflict[v]
         while m:
             low = m & -m
             m ^= low
             c = low.bit_length()
             nodes += 1
-            ticker += 1
-            if deadline is not None and ticker >= 1024:
-                ticker = 0
+            if deadline is not None and not nodes & 1023:
                 if time.monotonic() > deadline:
                     raise SolveTimeout("packing coloring search timed out")
             colors[v] = c
             changes = []
             ok = True
-            um = conflict[v][c] & unassigned
+            um = conflict_v[c] & unassigned
             while um:
                 ul = um & -um
                 um ^= ul
                 u = ul.bit_length() - 1
                 du = domains[u]
-                if (du >> (c - 1)) & 1:
-                    domains[u] = du & ~(1 << (c - 1))
+                if du & low:
+                    # low is color c's bit; du == low leaves u no color
+                    domains[u] = du ^ low
                     changes.append((u, du))
-                    if domains[u] == 0:
+                    if du == low:
                         ok = False
                         break
-            if ok and dfs(idx + 1):
-                return True
+            if ok:
+                break
             for u, du in changes:
                 domains[u] = du
-        colors[v] = 0
-        unassigned |= 1 << v
-        return False
-
-    if dfs(0):
-        return tuple(colors), nodes
-    return None, nodes
+        else:
+            # every color failed here: backtrack
+            colors[v] = 0
+            unassigned |= 1 << v
+            if idx == 0:
+                return None, nodes
+            idx -= 1
+            continue
+        untried[idx], trail[idx] = m, changes
+        idx += 1
 
 
 def decide_packing_k_colorable(g: Graph, k: int, pinned=None, deadline=None):
@@ -229,17 +248,53 @@ def _construction(g: Graph):
     return min(spread, tuple(greedy), key=max)
 
 
+def neighborhood_lower_bound(g: Graph) -> int:
+    """A search-free lower bound on chi-rho: 0 for K0, 1 for an edgeless
+    graph, else the largest of 2 and |N[v]| - alpha(G[N(v)]) + 1 over v.
+
+    Any two vertices of a closed neighbourhood N[v] are at distance at most
+    2.  In a packing coloring the vertices of N[v] colored 1 are therefore
+    independent, and every color c >= 2 appears at most once in N[v] (two
+    such vertices would sit at distance <= 2 <= c).  A k-coloring thus
+    covers at most alpha(G[N[v]]) + k - 1 vertices of N[v], and
+    alpha(G[N[v]]) = alpha(G[N(v)]) when v has a neighbour, so
+    k >= |N[v]| - alpha(G[N(v)]) + 1.  N[v] lies inside one component with
+    the distances of g, so the bound holds for disconnected graphs too.
+    Since alpha(G[N(v)]) >= 1, a term never exceeds |N[v]|, so vertices
+    are scanned by decreasing degree and the scan stops once |N[v]| cannot
+    beat the running maximum; a vertex whose N(v) is independent (its term
+    is 2) is skipped without computing alpha.
+    """
+    rows = g.rows
+    if not any(rows):
+        return min(g.n, 1)
+    best = 2
+    for v in sorted(range(g.n), key=lambda v: -rows[v].bit_count()):
+        nbhd = rows[v]
+        if nbhd.bit_count() + 1 <= best:
+            break
+        nbrs = g.neighbors(v)
+        if not any(rows[u] & nbhd for u in nbrs):
+            continue
+        alpha = independence_number(induced_subgraph(g, nbrs)[0])[0]
+        best = max(best, nbhd.bit_count() + 2 - alpha)
+    return best
+
+
 def _component_value(g: Graph, start, deadline):
     """Chi-rho of a connected (or empty) graph: (value, colors, nodes),
-    walking down from the better of the construction and start (or None)."""
+    walking down from the better of the construction and start (or None)
+    to the first infeasible palette or to neighborhood_lower_bound."""
     if g.n == 0:
         return 0, (), 0
     colors = _construction(g)
     if start is not None and max(start) < max(colors):
         colors = start
     k = max(colors)
+    # a connected graph with two or more colors has an edge, so chi >= 2
+    floor = k if k <= 2 else neighborhood_lower_bound(g)
     nodes = 0
-    while k > 1:
+    while k > floor:
         found, extra = _search(g, k - 1, {}, deadline)
         nodes += extra
         if found is None:

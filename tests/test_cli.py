@@ -119,6 +119,19 @@ class TestCritical:
         code, rep = run_json(capsys, ["critical"])
         assert rep["results"][0]["solves"] == 1 + 2
 
+    def test_nodes_in_row(self, capsys, monkeypatch):
+        # K4 and C5; the TSV columns stay as they were
+        monkeypatch.setattr("sys.stdin", io.StringIO("C~\nDhc\n"))
+        code, rep = run_json(capsys, ["critical"])
+        k4, c5 = rep["results"]
+        assert (k4["chi_rho"], k4["nodes"]) == (4, 0)
+        assert c5["chi_rho"] == 4 and c5["nodes"] > 0
+        monkeypatch.setattr("sys.stdin", io.StringIO("C~\n"))
+        code, out = run(capsys, ["critical", "--format", "tsv"])
+        assert out.splitlines()[0].split("\t") == [
+            "graph6", "n", "chi_rho", "edge_critical", "vertex_critical",
+            "bound_ok", "status"]
+
     def test_edge_mode_only(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))
         code, rep = run_json(capsys, ["critical", "--mode", "edge"])
@@ -146,7 +159,7 @@ class TestCritical:
             assert r["bound_ok"] is True
 
     def test_witnesses_serialized(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("Dqc\n"))  # C5
+        monkeypatch.setattr("sys.stdin", io.StringIO("Dqc\n"))  # C4 plus a pendant
         code, rep = run_json(capsys, ["critical", "--witness"])
         r = rep["results"][0]
         assert r["edge_witnesses"]

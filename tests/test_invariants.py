@@ -21,6 +21,7 @@ from packcrit import (
     is_edge_critical,
     is_valid_packing_coloring,
     is_vertex_critical,
+    neighborhood_lower_bound,
     packing_chromatic_number,
     parse_graph6,
     repair_coloring,
@@ -112,6 +113,12 @@ class TestSolverInvariants:
             return
         alpha = independence_number(g)[0]
         assert packing_chromatic_number(g).value <= g.n - alpha + 1
+
+    @SETTINGS
+    @given(graphs())
+    def test_neighborhood_bound_below_oracle(self, g):
+        # graphs() draws disconnected and edgeless graphs as well
+        assert neighborhood_lower_bound(g) <= brute_force_chi_rho(g)
 
 
 class TestEdgeDeletion:

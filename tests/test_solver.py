@@ -12,6 +12,7 @@ from packcrit import (
     disjoint_union,
     gen_basic,
     is_valid_packing_coloring,
+    neighborhood_lower_bound,
     packing_chromatic_number,
 )
 from packcrit.corpus import all_graphs, connected_graphs
@@ -150,6 +151,39 @@ class TestValues:
     def test_node_count_reported(self):
         res = packing_chromatic_number(cycle(5))
         assert res.node_count > 0
+
+    def test_long_cycle_within_recursion_limit(self):
+        # the search keeps its own stack; 1102 = 2 mod 4 gives value 4
+        g = cycle(1102)
+        res = packing_chromatic_number(g)
+        assert res.value == 4
+        assert_optimal_witness(g, res)
+
+    def test_walk_stops_at_the_bound(self):
+        # K4 and the triangle with a tail meet their bound at the
+        # constructed or started palette, so no search runs
+        assert packing_chromatic_number(complete(4)).node_count == 0
+        res = packing_chromatic_number(TRIANGLE_WITH_TAIL, start=(3, 1, 1, 2, 2))
+        assert res.value == 3 and res.node_count == 0
+        assert_optimal_witness(TRIANGLE_WITH_TAIL, res)
+
+
+class TestNeighborhoodBound:
+    @pytest.mark.parametrize("g, want", [
+        (Graph.empty(0), 0),
+        (Graph.empty(3), 1),
+        (complete(5), 5),
+        (cycle(5), 2),            # every N(v) is independent
+        (gen_basic("star", 5).graph, 2),
+        (TRIANGLE_WITH_TAIL, 3),  # N[v] of the triangle vertex with the tail
+        (disjoint_union(Graph.empty(1), complete(4)), 4),
+    ])
+    def test_frozen_values(self, g, want):
+        assert neighborhood_lower_bound(g) == want
+
+    def test_below_oracle_exhaustive(self):
+        for g in all_graphs(6):
+            assert neighborhood_lower_bound(g) <= brute_force_chi_rho(g)
 
 
 class TestDecide:
