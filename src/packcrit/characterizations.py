@@ -261,19 +261,20 @@ def check_tree_equivalence(t: Graph, deadline=None) -> TheoremVerdict:
     every edge deletion are the same property."""
     if not is_tree(t):
         raise ShapeError("input must be a tree")
-    chi = packing_chromatic_number(t, deadline=deadline).value
-    structural = _critical_given_chi(t, "vertex", chi, deadline)
-    truth = _critical_given_chi(t, "edge", chi, deadline)
+    base = packing_chromatic_number(t, deadline=deadline)
+    structural = _critical_given_chi(t, "vertex", base, deadline)
+    truth = _critical_given_chi(t, "edge", base, deadline)
     return TheoremVerdict("tree-equivalence", emit_graph6(t), structural, truth,
                           structural == truth, None)
 
 
 def _check_critical_value(tid: str, structural: bool, target: int, g: Graph,
                           deadline):
-    chi = packing_chromatic_number(g, deadline=deadline).value
-    truth = chi == target and _critical_given_chi(g, "edge", chi, deadline)
+    base = packing_chromatic_number(g, deadline=deadline)
+    truth = (base.value == target
+             and _critical_given_chi(g, "edge", base, deadline))
     return TheoremVerdict(tid, emit_graph6(g), structural, truth,
-                          structural == truth, {"chi": chi})
+                          structural == truth, {"chi": base.value})
 
 
 def _check_edge_bound(g: Graph, deadline):
@@ -295,9 +296,9 @@ def _check_connected_critical(g: Graph, deadline):
 
 
 def _check_vertex_implication(g: Graph, deadline):
-    chi = packing_chromatic_number(g, deadline=deadline).value
-    crit = _critical_given_chi(g, "edge", chi, deadline)
-    structural = (not crit) or _critical_given_chi(g, "vertex", chi, deadline)
+    base = packing_chromatic_number(g, deadline=deadline)
+    crit = _critical_given_chi(g, "edge", base, deadline)
+    structural = (not crit) or _critical_given_chi(g, "vertex", base, deadline)
     return TheoremVerdict("vertex-critical-implication", emit_graph6(g),
                           structural, True, structural, {"edge_critical": crit})
 

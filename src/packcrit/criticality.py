@@ -21,7 +21,8 @@ G-v walk from G's optimal witness restricted to the remaining vertices, a
 valid coloring since a deletion is a subgraph; the early-exit verdicts make
 one decision at chi(G) - 1 per orbit, up to the first that does not drop,
 except where the solver's neighborhood_lower_bound on the deletion already
-reaches chi(G) and proves it does not drop.
+reaches chi(G) and proves it does not drop.  Each decision tries the colors
+of that restricted witness first.
 
 Deleting one edge can at most halve the value, in the precise sense
 chi(G) <= 2*chi(G-e) - 1, except in the degenerate situation where G-e is
@@ -42,8 +43,10 @@ from .graphs import (
     metric_summary,
 )
 from .solver import (
+    ChiRhoResult,
     PackingColoring,
     decide_packing_k_colorable,
+    _search,
     _twin_groups,
     is_valid_packing_coloring,
     neighborhood_lower_bound,
@@ -207,29 +210,33 @@ def criticality_report(g: Graph, include_witnesses: bool = False,
         base.node_count + edge_nodes + vertex_nodes)
 
 
-def _critical_given_chi(g: Graph, kind: str, chi: int, deadline) -> bool:
-    """Early-exit verdict for one kind of deletion given chi = chi(G): per
-    twin orbit, a deletion whose neighborhood_lower_bound reaches chi does
-    not drop; any other takes one decision at chi - 1.  It stops at the
-    first deletion that does not drop."""
+def _critical_given_chi(g: Graph, kind: str, base: ChiRhoResult,
+                        deadline) -> bool:
+    """Early-exit verdict for one kind of deletion given base, G's solve:
+    per twin orbit, a deletion whose neighborhood_lower_bound reaches chi(G)
+    does not drop; any other takes one decision at chi(G) - 1, guided by G's
+    witness restricted through kept.  It stops at the first deletion that
+    does not drop."""
+    chi, colors = base.value, base.witness.colors
     return _is_critical(g, kind, (
-        neighborhood_lower_bound(h) < chi
-        and decide_packing_k_colorable(h, chi - 1, deadline=deadline) is not None
-        for _, h, _, _ in _deletions(g, kind)))
+        neighborhood_lower_bound(h, deadline) < chi
+        and _search(h, chi - 1, {}, deadline,
+                    [colors[v] for v in kept])[0] is not None
+        for _, h, kept, _ in _deletions(g, kind)))
 
 
 def is_edge_critical(g: Graph, deadline=None) -> bool:
     """Early-exit edge-criticality: one decision solve per twin
     orbit of edges."""
-    chi = packing_chromatic_number(g, deadline=deadline).value
-    return _critical_given_chi(g, "edge", chi, deadline)
+    base = packing_chromatic_number(g, deadline=deadline)
+    return _critical_given_chi(g, "edge", base, deadline)
 
 
 def is_vertex_critical(g: Graph, deadline=None) -> bool:
     """Early-exit vertex-criticality: one decision solve per twin
     orbit of vertices."""
-    chi = packing_chromatic_number(g, deadline=deadline).value
-    return _critical_given_chi(g, "vertex", chi, deadline)
+    base = packing_chromatic_number(g, deadline=deadline)
+    return _critical_given_chi(g, "vertex", base, deadline)
 
 
 def edge_drop_profile(g: Graph, deadline=None):

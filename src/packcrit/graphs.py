@@ -9,6 +9,7 @@ components.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 INFINITY = float("inf")
@@ -16,6 +17,10 @@ INFINITY = float("inf")
 
 class GraphError(ValueError):
     """Invalid graph construction or operation."""
+
+
+class SolveTimeout(Exception):
+    """Deadline expired before the search finished."""
 
 
 class Graph:
@@ -309,13 +314,15 @@ def is_tree(g: Graph) -> bool:
     return g.n >= 1 and is_connected(g) and g.edge_count == g.n - 1
 
 
-def independence_number(g: Graph):
+def independence_number(g: Graph, deadline=None):
     """Exact maximum independent set.  Returns (alpha, witness frozenset).
 
     Vertices of degree at most one always belong to some maximum independent
     set, so they are taken greedily before branching; forests therefore never
     branch at all.  What remains splits by connected component and branches
-    on a highest-degree vertex, memoized per candidate set.
+    on a highest-degree vertex, memoized per candidate set.  deadline, a
+    time.monotonic() value, is polled at each branch and raises SolveTimeout
+    once it has passed.
     """
     n = g.n
     if n == 0:
@@ -376,6 +383,8 @@ def independence_number(g: Graph):
             memo[orig] = (size, chosen)
             return size, chosen
         # branch on a highest-degree vertex: in or out
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolveTimeout("independence number search timed out")
         bv = -1
         bd = -1
         m = avail

@@ -5,22 +5,30 @@ must be at distance greater than c.  The decision procedure is a depth-first
 search with forward checking over per-vertex color domains, plus a symmetry
 break: vertices with interchangeable distance profiles are forced into
 non-decreasing color order, which is safe because swapping colors between two
-such vertices preserves every distance constraint.
+such vertices preserves every distance constraint.  Vertices go in a static
+order; each tries a hint color first, when the caller holds a packing
+coloring of the same graph, and then the rest of its domain in ascending
+order.  The subtree below a value does not depend on which sibling values
+went before it, and an infeasible search tries them all, so the hint leaves
+unsatisfiable proofs node for node as they were and only shortens
+satisfiable searches.
 
 The optimizer works per connected component.  It starts from the smallest
 palette among two constructed colorings (one maximum independent set colored
 1 and everything else distinct, or the least-legal-color greedy in label
 order) and the caller's start coloring, if given, restricted to the
-component.  That palette is witnessed already, so the downward walk starts
-one below it and stops at the first infeasible palette or at
-neighborhood_lower_bound, whichever comes first; each feasible search
+component; the start wins ties.  That palette is witnessed already, so the
+downward walk starts one below it and stops at the first infeasible palette
+or at neighborhood_lower_bound, whichever comes first; each feasible search
 replaces the kept witness.  The bound counts colors inside closed
 neighbourhoods (every color >= 2 appears at most once in one, color 1 on an
 independent set), so where it meets the witnessed palette no unsatisfiable
-search is needed to prove optimality.  The search keeps its own stack, so
-no graph size meets Python's recursion limit.  Component witnesses are
-stitched back onto the original vertex ids.  The solver keeps no memo of
-its own between calls.
+search is needed to prove optimality.  Each search of the walk is hinted
+with the coloring in hand, one palette up.  A deadline reaches every search
+and the independence numbers behind the construction and the bound.  The
+search keeps its own stack, so no graph size meets Python's recursion
+limit.  Component witnesses are stitched back onto the original vertex ids.
+The solver keeps no memo of its own between calls.
 """
 
 from __future__ import annotations
@@ -30,15 +38,12 @@ from dataclasses import dataclass
 
 from .graphs import (
     Graph,
+    SolveTimeout,
     all_pairs_distances,
     connected_components,
     independence_number,
     induced_subgraph,
 )
-
-
-class SolveTimeout(Exception):
-    """Deadline expired before the search finished."""
 
 
 @dataclass(frozen=True)
@@ -105,8 +110,18 @@ def _twin_groups(g: Graph):
     return groups
 
 
-def _search(g: Graph, k: int, pinned, deadline):
-    """Core DFS.  Returns (color tuple or None, nodes expanded)."""
+def _search(g: Graph, k: int, pinned, deadline, hint=None):
+    """Core DFS.  Returns (color tuple or None, nodes expanded).
+
+    hint, when given, holds one color >= 1 per vertex, typically a packing
+    coloring already in hand; each vertex tries its hint color first while
+    that color is still in its domain, then the rest in ascending order.
+    Hint colors above k are ignored.  The variable order is static, each
+    value's domain changes are undone before the next value is tried, and an
+    infeasible search tries every value at every node; so the hint never
+    changes the nodes of an infeasible search, only how soon a feasible one
+    ends.
+    """
     if deadline is not None and time.monotonic() > deadline:
         raise SolveTimeout("deadline expired before search started")
     n = g.n
@@ -118,6 +133,8 @@ def _search(g: Graph, k: int, pinned, deadline):
 
     full = (1 << k) - 1
     domains = [full] * n
+    # a hint color above k has its bit outside every domain, so it is ignored
+    hint_bit = [0] * n if hint is None else [1 << (c - 1) for c in hint]
     for v, c in pinned.items():
         domains[v] = 1 << (c - 1)
 
@@ -177,8 +194,9 @@ def _search(g: Graph, k: int, pinned, deadline):
                 domains[u] = du
             m = untried[idx]
         conflict_v = conflict[v]
+        hb = hint_bit[v]
         while m:
-            low = m & -m
+            low = m & hb or m & -m
             m ^= low
             c = low.bit_length()
             nodes += 1
@@ -230,7 +248,7 @@ def decide_packing_k_colorable(g: Graph, k: int, pinned=None, deadline=None):
     return _search(g, k, pinned, deadline)[0]
 
 
-def _construction(g: Graph):
+def _construction(g: Graph, deadline):
     """Colors of the better of two search-free packing colorings: a maximum
     independent set colored 1 and every other vertex its own color, or the
     least-legal-color greedy in label order."""
@@ -242,13 +260,13 @@ def _construction(g: Graph):
         while any(greedy[u] == c and row[u] <= c for u in range(v)):
             c += 1
         greedy[v] = c
-    alpha_set = independence_number(g)[1]
+    alpha_set = independence_number(g, deadline)[1]
     fresh = iter(range(2, g.n + 2))
     spread = tuple(1 if v in alpha_set else next(fresh) for v in range(g.n))
     return min(spread, tuple(greedy), key=max)
 
 
-def neighborhood_lower_bound(g: Graph) -> int:
+def neighborhood_lower_bound(g: Graph, deadline=None) -> int:
     """A search-free lower bound on chi-rho: 0 for K0, 1 for an edgeless
     graph, else the largest of 2 and |N[v]| - alpha(G[N(v)]) + 1 over v.
 
@@ -263,7 +281,8 @@ def neighborhood_lower_bound(g: Graph) -> int:
     Since alpha(G[N(v)]) >= 1, a term never exceeds |N[v]|, so vertices
     are scanned by decreasing degree and the scan stops once |N[v]| cannot
     beat the running maximum; a vertex whose N(v) is independent (its term
-    is 2) is skipped without computing alpha.
+    is 2) is skipped without computing alpha.  deadline is passed on to
+    independence_number.
     """
     rows = g.rows
     if not any(rows):
@@ -276,26 +295,28 @@ def neighborhood_lower_bound(g: Graph) -> int:
         nbrs = g.neighbors(v)
         if not any(rows[u] & nbhd for u in nbrs):
             continue
-        alpha = independence_number(induced_subgraph(g, nbrs)[0])[0]
+        alpha = independence_number(induced_subgraph(g, nbrs)[0], deadline)[0]
         best = max(best, nbhd.bit_count() + 2 - alpha)
     return best
 
 
 def _component_value(g: Graph, start, deadline):
     """Chi-rho of a connected (or empty) graph: (value, colors, nodes),
-    walking down from the better of the construction and start (or None)
-    to the first infeasible palette or to neighborhood_lower_bound."""
+    walking down from the better of the construction and start (or None;
+    start wins ties) to the first infeasible palette or to
+    neighborhood_lower_bound."""
     if g.n == 0:
         return 0, (), 0
-    colors = _construction(g)
-    if start is not None and max(start) < max(colors):
+    colors = _construction(g, deadline)
+    if start is not None and max(start) <= max(colors):
         colors = start
     k = max(colors)
     # a connected graph with two or more colors has an edge, so chi >= 2
-    floor = k if k <= 2 else neighborhood_lower_bound(g)
+    floor = k if k <= 2 else neighborhood_lower_bound(g, deadline)
     nodes = 0
     while k > floor:
-        found, extra = _search(g, k - 1, {}, deadline)
+        # the coloring in hand guides the search one palette down
+        found, extra = _search(g, k - 1, {}, deadline, colors)
         nodes += extra
         if found is None:
             break

@@ -1,9 +1,12 @@
+import time
+
 import pytest
 
 from packcrit import (
     INFINITY,
     Graph,
     GraphError,
+    SolveTimeout,
     all_pairs_distances,
     block_decomposition,
     connected_components,
@@ -236,6 +239,18 @@ class TestIndependence:
         for i, u in enumerate(ws):
             for v in ws[i + 1:]:
                 assert not g.has_edge(u, v)
+
+    def test_expired_deadline_raises(self):
+        # the Petersen graph is cubic, so nothing is taken greedily and the
+        # search branches at once; forests never branch and ignore it
+        petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                                    + [(i, i + 5) for i in range(5)])
+        expired = time.monotonic() - 1.0
+        with pytest.raises(SolveTimeout):
+            independence_number(petersen, deadline=expired)
+        assert independence_number(petersen)[0] == 4
+        assert independence_number(path(6), deadline=expired)[0] == 3
 
     def test_avoiding_sets(self):
         c4 = cycle(4)

@@ -4,6 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from packcrit.solver import _search
 from packcrit import (
     Graph,
     all_pairs_distances,
@@ -119,6 +120,28 @@ class TestSolverInvariants:
     def test_neighborhood_bound_below_oracle(self, g):
         # graphs() draws disconnected and edgeless graphs as well
         assert neighborhood_lower_bound(g) <= brute_force_chi_rho(g)
+
+    @SETTINGS
+    @given(graphs(), st.integers(min_value=1, max_value=5),
+           st.integers(min_value=0, max_value=2 ** 30))
+    def test_hint_is_safe(self, g, k, seed):
+        # a hint reorders values only: same feasibility, a valid coloring
+        # honouring the pins, the same nodes when infeasible, and colors
+        # above k ignored
+        rng = random.Random(seed)
+        pins = {v: rng.randint(1, k) for v in range(g.n) if rng.random() < 0.2}
+        hint = [rng.randint(1, k + 2) for _ in range(g.n)]
+        plain, plain_nodes = _search(g, k, pins, None)
+        found, nodes = _search(g, k, pins, None, hint)
+        assert (found is None) == (plain is None)
+        if found is None:
+            assert nodes == plain_nodes
+        else:
+            assert is_valid_packing_coloring(g, found)
+            assert max(found, default=0) <= k
+            assert all(found[v] == c for v, c in pins.items())
+        above = [c if c <= k else rng.randint(k + 1, k + 9) for c in hint]
+        assert _search(g, k, pins, None, above) == (found, nodes)
 
 
 class TestEdgeDeletion:

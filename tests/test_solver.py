@@ -11,6 +11,7 @@ from packcrit import (
     decide_packing_k_colorable,
     disjoint_union,
     gen_basic,
+    gen_realization,
     is_valid_packing_coloring,
     neighborhood_lower_bound,
     packing_chromatic_number,
@@ -158,6 +159,15 @@ class TestValues:
         res = packing_chromatic_number(g)
         assert res.value == 4
         assert_optimal_witness(g, res)
+
+    def test_walk_follows_the_coloring_in_hand(self):
+        # each search of the walk tries the previous palette's coloring
+        # first; without that this graph takes 74,054 nodes
+        g = gen_realization(7, 4).graph
+        res = packing_chromatic_number(g)
+        assert res.value == 7
+        assert_optimal_witness(g, res)
+        assert res.node_count <= 21_000
 
     def test_walk_stops_at_the_bound(self):
         # K4 and the triangle with a tail meet their bound at the
