@@ -14,6 +14,8 @@ from .criticality import (
     EdgeBoundViolation,
     _critical_given_chi,
     _detour_colorable,
+    _drops,
+    _stretched_pairs,
     edge_drop_profile,
     is_edge_critical,
 )
@@ -30,7 +32,7 @@ from .graphs import (
     metric_summary,
 )
 from .families import LabeledGraph
-from .solver import decide_packing_k_colorable, packing_chromatic_number
+from .solver import packing_chromatic_number
 
 
 class ShapeError(ValueError):
@@ -306,22 +308,16 @@ def _check_vertex_implication(g: Graph, deadline):
 def _check_detour_drop(g: Graph, deadline):
     """Wherever the detour criterion fires, the solver must confirm a strict
     drop for that edge."""
-    chi = packing_chromatic_number(g, deadline=deadline).value
+    base = packing_chromatic_number(g, deadline=deadline)
     diam = metric_summary(g).diameter
     fired = 0
     ok = True
     for e in g.edges:
-        h = delete_edge(g, e)
-        if metric_summary(h).diameter <= diam:
-            continue
-        dh = all_pairs_distances(h).dist
-        hits = sum(1 for u in range(g.n) for v in range(u + 1, g.n)
-                   if dh[u][v] > diam
-                   and _detour_colorable(g, u, v, int(diam), chi, deadline))
+        hits = sum(1 for u, v in _stretched_pairs(g, e, diam)
+                   if _detour_colorable(g, u, v, diam, base.value, deadline))
         fired += hits
-        # one decision at chi - 1 confirms the drop for every firing pair
-        if hits and decide_packing_k_colorable(
-                h, chi - 1, deadline=deadline) is None:
+        # one drop test confirms the drop for every firing pair
+        if hits and not _drops(delete_edge(g, e), range(g.n), base, deadline):
             ok = False
     return TheoremVerdict("detour-drop", emit_graph6(g), ok, True, ok,
                           {"fired": fired})

@@ -8,16 +8,15 @@ the value (a graph with an isolated vertex plus anything else can shed that
 vertex without changing the value, so it is never critical).
 
 Both routes walk one generator of deletions and apply that rule once.  The
-generator yields one deletion per twin orbit of G.  Two vertices with
-identical distance rows away from each other (solver._twin_groups) have
-identical neighbourhoods away from each other, so swapping them is an
-automorphism of G, and so is any product of such swaps inside twin groups.
-All edges between the same two groups (or inside one group) therefore lie
-in one orbit, as do all vertices of one group, and their deletions are
-isomorphic: they share the value and the verdict, and a witness moves with
-the automorphism sigma as c'[sigma(v)] = c[v].  The value sweep
-(criticality_report, edge_drop_profile) starts each orbit's exact G-e or
-G-v walk from G's optimal witness restricted to the remaining vertices, a
+generator yields one deletion per twin orbit of G.  Twins, two vertices u
+and v with N(u) - {v} = N(v) - {u} (solver._twin_groups), can be swapped by
+an automorphism of G, and so can any product of such swaps inside twin
+groups.  All edges between the same two groups (or inside one group)
+therefore lie in one orbit, as do all vertices of one group, and their
+deletions are isomorphic: they share the value and the verdict, and a
+witness moves with the automorphism sigma as c'[sigma(v)] = c[v].  The value
+sweep (criticality_report, edge_drop_profile) starts each orbit's exact G-e
+or G-v walk from G's optimal witness restricted to the remaining vertices, a
 valid coloring since a deletion is a subgraph; the early-exit verdicts make
 one decision at chi(G) - 1 per orbit, up to the first that does not drop,
 except where the solver's neighborhood_lower_bound on the deletion already
@@ -45,7 +44,6 @@ from .graphs import (
 from .solver import (
     ChiRhoResult,
     PackingColoring,
-    decide_packing_k_colorable,
     _search,
     _twin_groups,
     is_valid_packing_coloring,
@@ -210,19 +208,24 @@ def criticality_report(g: Graph, include_witnesses: bool = False,
         base.node_count + edge_nodes + vertex_nodes)
 
 
+def _drops(h: Graph, kept, base: ChiRhoResult, deadline) -> bool:
+    """chi(h) < chi(G) for a deletion h of G, given base, G's solve, and
+    kept[new_id] the original vertex id: False where h's
+    neighborhood_lower_bound reaches chi(G), else one decision at
+    chi(G) - 1 guided by G's witness restricted through kept."""
+    chi, colors = base.value, base.witness.colors
+    return (neighborhood_lower_bound(h, deadline) < chi
+            and _search(h, chi - 1, {}, deadline,
+                        [colors[v] for v in kept])[0] is not None)
+
+
 def _critical_given_chi(g: Graph, kind: str, base: ChiRhoResult,
                         deadline) -> bool:
     """Early-exit verdict for one kind of deletion given base, G's solve:
-    per twin orbit, a deletion whose neighborhood_lower_bound reaches chi(G)
-    does not drop; any other takes one decision at chi(G) - 1, guided by G's
-    witness restricted through kept.  It stops at the first deletion that
-    does not drop."""
-    chi, colors = base.value, base.witness.colors
-    return _is_critical(g, kind, (
-        neighborhood_lower_bound(h, deadline) < chi
-        and _search(h, chi - 1, {}, deadline,
-                    [colors[v] for v in kept])[0] is not None
-        for _, h, kept, _ in _deletions(g, kind)))
+    one drop test per twin orbit, stopping at the first deletion that does
+    not drop."""
+    return _is_critical(g, kind, (_drops(h, kept, base, deadline)
+                                  for _, h, kept, _ in _deletions(g, kind)))
 
 
 def is_edge_critical(g: Graph, deadline=None) -> bool:
@@ -308,34 +311,40 @@ def repair_coloring(g: Graph, e, c_prime) -> PackingColoring:
     return result
 
 
+def _stretched_pairs(g: Graph, e, diam: int):
+    """Pairs u < v that G - e puts farther apart than diam, in order."""
+    dist = all_pairs_distances(delete_edge(g, e)).dist
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+            if dist[u][v] > diam]
+
+
 def detour_drop_criterion(g: Graph, e, u: int, v: int, deadline=None) -> bool:
     """Sufficient test for a strict drop under deleting e.
 
-    True iff deleting e stretches the (finite) diameter, u and v end up
-    farther apart than the old diameter, and some optimal coloring gives u
-    and v distinct colors both at least that diameter.  The coloring search
-    runs as pinned decision solves.  A True result guarantees
-    chi(G-e) < chi(G).
+    True iff deleting e puts u and v farther apart than the (finite, >= 1)
+    diameter of G, and some optimal coloring gives u and v distinct colors
+    both at least that diameter.  A True result guarantees
+    chi(G-e) < chi(G).  A missing edge or a vertex outside 0..n-1 raises
+    ValueError.
     """
-    uu, vv = e
-    if not g.has_edge(uu, vv):
+    if not g.has_edge(*e):
         raise ValueError("edge %r not present" % (e,))
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError("vertices %r, %r not both in the graph" % (u, v))
     diam = metric_summary(g).diameter
     if diam == INFINITY or diam < 1:
         return False
-    h = delete_edge(g, (uu, vv))
-    if metric_summary(h).diameter <= diam:
-        return False
-    if all_pairs_distances(h).dist[u][v] <= diam:
+    if (min(u, v), max(u, v)) not in _stretched_pairs(g, e, diam):
         return False
     chi = packing_chromatic_number(g, deadline=deadline).value
-    return _detour_colorable(g, u, v, int(diam), chi, deadline)
+    return _detour_colorable(g, u, v, diam, chi, deadline)
 
 
 def _detour_colorable(g: Graph, u: int, v: int, k: int, chi: int, deadline):
     """Some chi-coloring of G, chi = chi(G), gives u and v distinct colors
-    both at least k: the coloring half of detour_drop_criterion."""
-    return any(decide_packing_k_colorable(g, chi, pinned={pu: i, pv: j},
-                                          deadline=deadline) is not None
-               for i in range(k, chi + 1) for j in range(i + 1, chi + 1)
-               for pu, pv in ((u, v), (v, u)))
+    both at least k, for k >= dist(u, v): the coloring half of
+    detour_drop_criterion.  One search limits u and v to colors k..chi; two
+    such colors are distinct because a shared color c >= k >= dist(u, v)
+    would conflict."""
+    top = ((1 << chi) - 1) & -(1 << (k - 1))
+    return _search(g, chi, {u: top, v: top}, deadline)[0] is not None

@@ -3,10 +3,10 @@
 A coloring assigns positive integer colors; any two vertices sharing color c
 must be at distance greater than c.  The decision procedure is a depth-first
 search with forward checking over per-vertex color domains, plus a symmetry
-break: vertices with interchangeable distance profiles are forced into
-non-decreasing color order, which is safe because swapping colors between two
-such vertices preserves every distance constraint.  Vertices go in a static
-order; each tries a hint color first, when the caller holds a packing
+break: twins, vertices whose neighbourhoods agree away from each other, are
+forced into non-decreasing color order, which is safe because swapping colors
+between two twins preserves every distance constraint.  Vertices go in a
+static order; each tries a hint color first, when the caller holds a packing
 coloring of the same graph, and then the rest of its domain in ascending
 order.  The subtree below a value does not depend on which sibling values
 went before it, and an infeasible search tries them all, so the hint leaves
@@ -91,27 +91,38 @@ def is_valid_packing_coloring(g: Graph, coloring) -> bool:
 
 
 def _twin_groups(g: Graph):
-    """Partition vertices into groups whose members have identical distance
-    rows away from each other (so any color swap inside a group is safe)."""
-    n = g.n
-    dist = all_pairs_distances(g).dist
+    """Partition vertices into twin classes, in order of first member.
+
+    u and v are twins when N(u) - {v} = N(v) - {u}: equal open
+    neighbourhoods when they are not adjacent, equal closed ones when they
+    are.  That is the same as equal distance rows away from u and v.  Equal
+    rows agree on the vertices at distance 1.  Conversely, a shortest path
+    from u to any other vertex w leaves u through v (so d(v, w) < d(u, w))
+    or through a neighbour of u other than v, which is a neighbour of v too
+    (so d(v, w) <= d(u, w)); symmetrically d(u, w) <= d(v, w).  So any
+    color swap inside a class is safe.  No vertex is a false twin of one
+    vertex and a true twin of another, so the relation is an equivalence,
+    and a dict keyed by each class's first open and closed row finds every
+    vertex's class in one pass.
+    """
     groups = []
-    for v in range(n):
-        placed = False
-        for grp in groups:
-            r = grp[0]
-            ok = all(dist[v][w] == dist[r][w] for w in range(n) if w != v and w != r)
-            if ok:
-                grp.append(v)
-                placed = True
-                break
-        if not placed:
-            groups.append([v])
+    where = {}
+    for v, row in enumerate(g.rows):
+        closed = row | 1 << v
+        grp = where.get(row, where.get(closed))
+        if grp is None:
+            grp = where[row] = where[closed] = []
+            groups.append(grp)
+        grp.append(v)
     return groups
 
 
-def _search(g: Graph, k: int, pinned, deadline, hint=None):
+def _search(g: Graph, k: int, allowed, deadline, hint=None):
     """Core DFS.  Returns (color tuple or None, nodes expanded).
+
+    allowed maps restricted vertices to a bitmask of their colors, bit c - 1
+    for color c; bits above k are ignored.  Restricted vertices go first and
+    keep their twin classes out of the symmetry break.
 
     hint, when given, holds one color >= 1 per vertex, typically a packing
     coloring already in hand; each vertex tries its hint color first while
@@ -135,36 +146,35 @@ def _search(g: Graph, k: int, pinned, deadline, hint=None):
     domains = [full] * n
     # a hint color above k has its bit outside every domain, so it is ignored
     hint_bit = [0] * n if hint is None else [1 << (c - 1) for c in hint]
-    for v, c in pinned.items():
-        domains[v] = 1 << (c - 1)
+    for v, mask in allowed.items():
+        domains[v] = mask & full
 
-    # conflict[v][c]: vertices that cannot share color c with v
-    conflict = [[0] * (k + 1) for _ in range(n)]
-    for v in range(n):
-        acc = 0
-        by_d = {}
-        for u in range(n):
-            if u != v and dist[v][u] <= k:
-                by_d.setdefault(int(dist[v][u]), []).append(u)
-        for c in range(1, k + 1):
-            for u in by_d.get(c, ()):
-                acc |= 1 << u
-            conflict[v][c] = acc
+    # conflict[v][c]: vertices that cannot share color c with v, i.e. the
+    # vertices at distance 1..c, as prefix ORs of the distance classes
+    conflict = []
+    for row in dist:
+        acc = [0] * (k + 1)
+        for u, d in enumerate(row):
+            if 0 < d <= k:
+                acc[d] |= 1 << u
+        for c in range(2, k + 1):
+            acc[c] |= acc[c - 1]
+        conflict.append(acc)
 
     groups = _twin_groups(g)
-    pinset = set(pinned)
+    restricted = set(allowed)
     twin_pred = [None] * n
     ordered_groups = []
     for grp in groups:
-        members = [v for v in grp if v not in pinset]
+        members = [v for v in grp if v not in restricted]
         if not members:
             continue
-        if not (set(grp) & pinset):
+        if not (set(grp) & restricted):
             for a, b in zip(members, members[1:]):
                 twin_pred[b] = a
         ordered_groups.append(members)
     ordered_groups.sort(key=lambda ms: (-g.degree(ms[0]), ms[0]))
-    order = sorted(pinset) + [v for ms in ordered_groups for v in ms]
+    order = sorted(restricted) + [v for ms in ordered_groups for v in ms]
 
     # depth-first over order with an explicit stack: untried[i] holds the
     # colors not yet tried at depth i and trail[i] the domain changes made by
@@ -245,7 +255,8 @@ def decide_packing_k_colorable(g: Graph, k: int, pinned=None, deadline=None):
             raise ValueError("pinned vertex %r outside graph" % (v,))
         if not 1 <= c <= k:
             raise ValueError("pinned color %r outside 1..%d" % (c, k))
-    return _search(g, k, pinned, deadline)[0]
+    return _search(g, k, {v: 1 << (c - 1) for v, c in pinned.items()},
+                   deadline)[0]
 
 
 def _construction(g: Graph, deadline):

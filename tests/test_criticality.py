@@ -3,7 +3,9 @@ import pytest
 from packcrit import (
     Graph,
     RepairError,
+    all_pairs_distances,
     criticality_report,
+    decide_packing_k_colorable,
     delete_edge,
     delete_vertex,
     detour_drop_criterion,
@@ -15,10 +17,12 @@ from packcrit import (
     is_edge_critical,
     is_valid_packing_coloring,
     is_vertex_critical,
+    metric_summary,
     packing_chromatic_number,
     repair_coloring,
 )
 from packcrit.corpus import all_graphs, connected_graphs, load_corpus
+from packcrit.criticality import _detour_colorable
 from packcrit.solver import _twin_groups
 
 
@@ -144,7 +148,7 @@ class TestReports:
 
 class TestTwinOrbits:
     def test_twin_swap_is_automorphism(self):
-        # _twin_groups compares each vertex with its group's first member
+        # _twin_groups looks each vertex up by its group's first member
         # only; the dedupe needs every swap inside a group to fix the edges
         for g in all_graphs(6):
             edges = set(g.edges)
@@ -230,6 +234,11 @@ class TestDetourCriterion:
         with pytest.raises(ValueError):
             detour_drop_criterion(cycle(5), (0, 2), 0, 2)
 
+    def test_rejects_vertex_outside_graph(self):
+        for u, v in ((3, 7), (0, -5), (-2, 4)):
+            with pytest.raises(ValueError):
+                detour_drop_criterion(cycle(5), (3, 4), u, v)
+
     def test_false_when_graph_disconnects(self):
         # removing a bridge leaves infinite diameter; the criterion demands a
         # finite stretched diameter
@@ -255,3 +264,24 @@ class TestDetourCriterion:
                     for v in range(u + 1, g.n):
                         if detour_drop_criterion(g, e, u, v):
                             assert packing_chromatic_number(h).value < chi
+
+    def test_colorable_matches_pin_pairs(self):
+        # one masked search against the pinned decisions it replaced: every
+        # ordered pair of distinct colors from diam..chi on u and v
+        for g in connected_graphs(6):
+            diam = metric_summary(g).diameter
+            chi = packing_chromatic_number(g).value
+            for e in g.edges:
+                dist = all_pairs_distances(delete_edge(g, e)).dist
+                for u in range(g.n):
+                    for v in range(u + 1, g.n):
+                        if dist[u][v] <= diam:
+                            continue
+                        pinned = any(
+                            decide_packing_k_colorable(
+                                g, chi, pinned={pu: i, pv: j}) is not None
+                            for i in range(diam, chi + 1)
+                            for j in range(i + 1, chi + 1)
+                            for pu, pv in ((u, v), (v, u)))
+                        assert _detour_colorable(
+                            g, u, v, diam, chi, None) == pinned

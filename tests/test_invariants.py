@@ -1,10 +1,12 @@
 """Property tests for the structural invariants the modules promise."""
 
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from packcrit.solver import _search
+from packcrit.corpus import all_graphs
+from packcrit.solver import _search, _twin_groups
 from packcrit import (
     Graph,
     all_pairs_distances,
@@ -130,9 +132,10 @@ class TestSolverInvariants:
         # above k ignored
         rng = random.Random(seed)
         pins = {v: rng.randint(1, k) for v in range(g.n) if rng.random() < 0.2}
+        masks = {v: 1 << (c - 1) for v, c in pins.items()}
         hint = [rng.randint(1, k + 2) for _ in range(g.n)]
-        plain, plain_nodes = _search(g, k, pins, None)
-        found, nodes = _search(g, k, pins, None, hint)
+        plain, plain_nodes = _search(g, k, masks, None)
+        found, nodes = _search(g, k, masks, None, hint)
         assert (found is None) == (plain is None)
         if found is None:
             assert nodes == plain_nodes
@@ -141,7 +144,58 @@ class TestSolverInvariants:
             assert max(found, default=0) <= k
             assert all(found[v] == c for v, c in pins.items())
         above = [c if c <= k else rng.randint(k + 1, k + 9) for c in hint]
-        assert _search(g, k, pins, None, above) == (found, nodes)
+        assert _search(g, k, masks, None, above) == (found, nodes)
+
+    @SETTINGS
+    @given(graphs(max_n=7), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=2 ** 30))
+    def test_masks_match_pin_enumeration(self, g, k, seed):
+        # a multi-bit mask admits exactly the colorings some one-color pin
+        # per restricted vertex admits
+        rng = random.Random(seed)
+        restricted = rng.sample(range(g.n), min(g.n, rng.randint(0, 3)))
+        masks = {v: rng.randint(0, (1 << k) - 1) for v in restricted}
+        found, _ = _search(g, k, masks, None)
+        choices = [[(v, c) for c in range(1, k + 1) if masks[v] >> (c - 1) & 1]
+                   for v in restricted]
+        reference = any(
+            decide_packing_k_colorable(g, k, pinned=dict(pins)) is not None
+            for pins in itertools.product(*choices))
+        assert (found is not None) == reference
+        if found is not None:
+            assert is_valid_packing_coloring(g, found)
+            assert max(found, default=0) <= k
+            assert all(masks[v] >> (found[v] - 1) & 1 for v in restricted)
+
+
+def distance_row_twins(g):
+    """The twin classes by their first definition: v joins the first class
+    whose first member r has the same distance row as v away from v and r."""
+    dist = all_pairs_distances(g).dist
+    groups = []
+    for v in range(g.n):
+        for grp in groups:
+            r = grp[0]
+            if all(dist[v][w] == dist[r][w]
+                   for w in range(g.n) if w != v and w != r):
+                grp.append(v)
+                break
+        else:
+            groups.append([v])
+    return groups
+
+
+class TestTwinGroups:
+    def test_neighbourhood_rows_match_distance_rows(self):
+        for g in all_graphs(6):
+            for h in ([g] + [delete_edge(g, e) for e in g.edges]
+                      + [delete_vertex(g, v)[0] for v in range(g.n)]):
+                assert _twin_groups(h) == distance_row_twins(h)
+
+    @SETTINGS
+    @given(graphs_with_twins())
+    def test_planted_twins_match_distance_rows(self, g):
+        assert _twin_groups(g) == distance_row_twins(g)
 
 
 class TestEdgeDeletion:
