@@ -313,11 +313,12 @@ def _check_detour_drop(g: Graph, deadline):
     fired = 0
     ok = True
     for e in g.edges:
-        hits = sum(1 for u, v in _stretched_pairs(g, e, diam)
+        h = delete_edge(g, e)
+        hits = sum(1 for u, v in _stretched_pairs(h, diam)
                    if _detour_colorable(g, u, v, diam, base.value, deadline))
         fired += hits
         # one drop test confirms the drop for every firing pair
-        if hits and not _drops(delete_edge(g, e), range(g.n), base, deadline):
+        if hits and not _drops(h, range(g.n), base, deadline):
             ok = False
     return TheoremVerdict("detour-drop", emit_graph6(g), ok, True, ok,
                           {"fired": fired})

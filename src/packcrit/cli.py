@@ -1,11 +1,24 @@
 """Command line front end: solve, profile criticality, generate families,
 and verify structural characterizations over corpora.
 
+`chirho`, `critical` and `verify` share one path.  The input (a built-in
+corpus, a file or stdin) is read and every line parse-checked before
+anything is solved.  Each graph then becomes one row, built by the
+command's row function (`_chirho_row`, `_critical_row`, `_verify_row`)
+from the parsed graph, the parsed options and a per-graph deadline.
+`_solve_task` adds `graph6` and `status` to it.  With `--jobs` above 1
+the graphs go to a process pool one at a time through `Pool.imap`, so a
+free worker always takes the next graph while rows still come back in
+input order.  `gen` looks the family up in one table of parameter counts
+and generators.
+
 Exit codes: 0 success (and, for verify, zero disagreements and zero errors),
 1 verification disagreement or a graph whose check raised, 2 usage error,
-3 graph6 parse error.  A graph that raises becomes a row with status "error"
-and the exception in "error"; the other graphs of the batch still run.
-Output is deterministic for fixed inputs except the timing field.
+3 graph6 parse error (including non-ASCII input).  A graph that raises
+becomes a row with status "error" and the exception in "error", and one
+that runs out of time a row with status "timeout"; the other graphs of the
+batch still run.  Output is deterministic for fixed inputs except the
+timing field.
 """
 
 from __future__ import annotations
@@ -15,6 +28,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from multiprocessing import Pool
 
 from . import __version__
@@ -58,104 +72,106 @@ def _jsonable(obj):
     return obj
 
 
-def _gather_input(args, parser):
-    """Resolve --corpus/--input/stdin into a list of graph6 lines.
+def _graph(item):
+    return item.graph if isinstance(item, LabeledGraph) else item
 
-    Returns (lines, digest).  Parse validation happens later, per line.
+
+def _parse_error(exc):
+    print("graph6 parse error: %s" % exc, file=sys.stderr)
+    raise SystemExit(3)
+
+
+def _gather_input(args, parser):
+    """Resolve --corpus/--input/stdin into (graph6 lines, sha256 digest).
+
+    A line that does not parse, non-ASCII text included, exits 3 before
+    anything is solved.
     """
-    if getattr(args, "corpus", None):
-        name = args.corpus
-        if name.startswith("builtin:"):
-            name = name[len("builtin:"):]
+    if args.corpus:
         try:
-            items = load_corpus(name)
+            items = load_corpus(args.corpus.removeprefix("builtin:"))
         except ValueError as exc:
             parser.error(str(exc))
-        lines = []
-        for it in items:
-            g = it.graph if isinstance(it, LabeledGraph) else it
-            lines.append(emit_graph6(g))
-    elif getattr(args, "input", None):
-        try:
-            with open(args.input, "r", encoding="ascii") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            parser.error(str(exc))
-        lines = [ln for ln in raw.splitlines() if ln.strip()]
+        lines = [emit_graph6(_graph(it)) for it in items]
     else:
-        lines = [ln for ln in sys.stdin.read().splitlines() if ln.strip()]
-    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
-    return lines, digest
-
-
-def _parse_all(lines):
-    # fail fast before any solving so exit code 3 is unambiguous
+        if args.input:
+            try:
+                # undecodable bytes become U+FFFD, which no graph6 line holds
+                with open(args.input, encoding="utf-8", errors="replace") as fh:
+                    raw = fh.read()
+            except OSError as exc:
+                parser.error(str(exc))
+        else:
+            try:
+                raw = sys.stdin.read()
+            except UnicodeDecodeError as exc:
+                _parse_error(exc)
+        lines = [ln for ln in raw.splitlines() if ln.strip()]
     for s in lines:
         try:
             parse_graph6(s)
         except Graph6Error as exc:
-            print("graph6 parse error: %s" % exc, file=sys.stderr)
-            raise SystemExit(3)
+            _parse_error(exc)
+    return lines, hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+
+
+def _chirho_row(g, opts, deadline):
+    res = packing_chromatic_number(g, deadline=deadline)
+    row = {"n": g.n, "chi_rho": res.value, "nodes": res.node_count}
+    if opts.witness:
+        row["witness"] = list(res.witness.colors)
+    return row
+
+
+def _critical_row(g, opts, deadline):
+    rep = criticality_report(g, include_witnesses=opts.witness, deadline=deadline)
+    try:
+        prof, bound_ok = drop_profile(rep.chi_rho, rep.edge_values), True
+    except EdgeBoundViolation:
+        prof, bound_ok = {}, False
+    row = {"n": g.n, "chi_rho": rep.chi_rho, "solves": rep.solves,
+           "nodes": rep.nodes, "bound_ok": bound_ok}
+    # witnesses are None unless asked for; json.dumps sorts every key
+    if opts.mode in ("edge", "both"):
+        row["edge_critical"] = rep.is_edge_critical
+        row["edge_drop_profile"] = _jsonable(prof)
+        if rep.edge_witnesses is not None:
+            row["edge_witnesses"] = _jsonable(
+                {e: w.colors for e, w in rep.edge_witnesses.items()})
+    if opts.mode in ("vertex", "both"):
+        row["vertex_critical"] = rep.is_vertex_critical
+        row["vertex_values"] = _jsonable(rep.vertex_values)
+        if rep.vertex_witnesses is not None:
+            row["vertex_witnesses"] = _jsonable(rep.vertex_witnesses)
+    return row
+
+
+def _verify_row(g, opts, deadline):
+    verdict = theorem_check(opts.theorem_id, g, deadline=deadline)
+    if verdict is None:
+        return {"status": "skipped"}
+    return {"verdict": {
+        "theorem_id": verdict.theorem_id,
+        "graph6": verdict.graph6,
+        "structural_verdict": verdict.structural_verdict,
+        "ground_truth": verdict.ground_truth,
+        "agree": verdict.agree,
+        "details": _jsonable(verdict.details),
+    }}
+
+
+_ROWS = {"chirho": _chirho_row, "critical": _critical_row, "verify": _verify_row}
 
 
 def _solve_task(task):
-    kind, s, opts = task
+    """One graph6 line and the parsed options -> its row; a row function's
+    own "status" (verify's "skipped") wins over "ok"."""
+    s, opts = task
     g = parse_graph6(s)
-    deadline = None
-    if opts.get("timeout"):
-        deadline = time.monotonic() + opts["timeout"]
+    deadline = time.monotonic() + opts.timeout if opts.timeout else None
     try:
-        if kind == "chirho":
-            res = packing_chromatic_number(g, deadline=deadline)
-            out = {"graph6": s, "n": g.n, "chi_rho": res.value,
-                   "nodes": res.node_count, "status": "ok"}
-            if opts.get("witness"):
-                out["witness"] = list(res.witness.colors)
-            return out
-        if kind == "critical":
-            rep = criticality_report(g, include_witnesses=opts.get("witness", False),
-                                     deadline=deadline)
-            try:
-                prof = drop_profile(rep.chi_rho, rep.edge_values)
-                bound_ok = True
-            except EdgeBoundViolation:
-                prof = {}
-                bound_ok = False
-            out = {"graph6": s, "n": g.n, "chi_rho": rep.chi_rho,
-                   "solves": rep.solves, "nodes": rep.nodes, "status": "ok",
-                   "bound_ok": bound_ok}
-            mode = opts.get("mode", "both")
-            if mode in ("edge", "both"):
-                out["edge_critical"] = rep.is_edge_critical
-                out["edge_drop_profile"] = {
-                    _edge_key(e): list(vd) for e, vd in sorted(prof.items())}
-                if opts.get("witness") and rep.edge_witnesses is not None:
-                    out["edge_witnesses"] = {
-                        _edge_key(e): list(w.colors)
-                        for e, w in sorted(rep.edge_witnesses.items())}
-            if mode in ("vertex", "both"):
-                out["vertex_critical"] = rep.is_vertex_critical
-                out["vertex_values"] = {
-                    str(v): val for v, val in sorted(rep.vertex_values.items())}
-                if opts.get("witness") and rep.vertex_witnesses is not None:
-                    out["vertex_witnesses"] = _jsonable(
-                        {v: dict(sorted(w.items()))
-                         for v, w in rep.vertex_witnesses.items()})
-            return out
-        if kind == "verify":
-            verdict = theorem_check(opts["theorem"], g, deadline=deadline)
-            if verdict is None:
-                return {"graph6": s, "status": "skipped"}
-            return {"graph6": s, "status": "ok",
-                    "verdict": {
-                        "theorem_id": verdict.theorem_id,
-                        "graph6": verdict.graph6,
-                        "structural_verdict": verdict.structural_verdict,
-                        "ground_truth": verdict.ground_truth,
-                        "agree": verdict.agree,
-                        "details": _jsonable(verdict.details),
-                    }}
-        raise ValueError("unknown task kind %r" % (kind,))
+        return {"graph6": s, "status": "ok",
+                **_ROWS[opts.command](g, opts, deadline)}
     except SolveTimeout:
         return {"graph6": s, "status": "timeout"}
     except Exception as exc:
@@ -163,23 +179,16 @@ def _solve_task(task):
                 "error": "%s: %s" % (type(exc).__name__, exc)}
 
 
-def _run_tasks(kind, lines, opts, jobs):
-    tasks = [(kind, s, opts) for s in lines]
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_solve_task(t) for t in tasks]
-    with Pool(processes=jobs) as pool:
-        return pool.map(_solve_task, tasks, chunksize=max(1, len(tasks) // (jobs * 4)))
-
-
-def _print_report(args, argv, digest, results, started):
-    report = {
-        "command": argv,
-        "input_digest": digest,
-        "results": results,
-        "timing": {"seconds": time.monotonic() - started},
-        "version": __version__,
-    }
-    print(json.dumps(report, sort_keys=True))
+def _run(args, parser):
+    """Gather and parse-check the input, then one row per graph in input
+    order; returns (rows, digest, start time of the solving)."""
+    lines, digest = _gather_input(args, parser)
+    started = time.monotonic()
+    tasks = [(s, args) for s in lines]
+    if args.jobs <= 1 or len(tasks) <= 1:
+        return [_solve_task(t) for t in tasks], digest, started
+    with Pool(processes=args.jobs) as pool:
+        return list(pool.imap(_solve_task, tasks)), digest, started
 
 
 def _print_tsv(rows, columns):
@@ -194,147 +203,106 @@ def _print_tsv(rows, columns):
         print("\t".join(cells))
 
 
-def cmd_chirho(args, argv, parser):
-    lines, digest = _gather_input(args, parser)
-    _parse_all(lines)
-    started = time.monotonic()
-    opts = {"timeout": args.timeout, "witness": args.witness}
-    results = _run_tasks("chirho", lines, opts, args.jobs)
+def _report(args, argv, parser, columns):
+    """Rows as TSV in columns, or one JSON report."""
+    rows, digest, started = _run(args, parser)
     if args.format == "tsv":
-        cols = ["graph6", "n", "chi_rho", "nodes", "status"]
-        if args.witness:
-            cols.append("witness")
-        _print_tsv(results, cols)
+        _print_tsv(rows, columns)
     else:
-        _print_report(args, argv, digest, results, started)
+        print(json.dumps({
+            "command": argv,
+            "input_digest": digest,
+            "results": rows,
+            "timing": {"seconds": time.monotonic() - started},
+            "version": __version__,
+        }, sort_keys=True))
     return 0
+
+
+def cmd_chirho(args, argv, parser):
+    columns = ["graph6", "n", "chi_rho", "nodes", "status"]
+    return _report(args, argv, parser,
+                   columns + (["witness"] if args.witness else []))
 
 
 def cmd_critical(args, argv, parser):
-    lines, digest = _gather_input(args, parser)
-    _parse_all(lines)
-    started = time.monotonic()
-    opts = {"timeout": args.timeout, "witness": args.witness, "mode": args.mode}
-    results = _run_tasks("critical", lines, opts, args.jobs)
-    if args.format == "tsv":
-        cols = ["graph6", "n", "chi_rho"]
-        if args.mode in ("edge", "both"):
-            cols.append("edge_critical")
-        if args.mode in ("vertex", "both"):
-            cols.append("vertex_critical")
-        cols += ["bound_ok", "status"]
-        _print_tsv(results, cols)
-    else:
-        _print_report(args, argv, digest, results, started)
-    return 0
+    columns = ["graph6", "n", "chi_rho"]
+    columns += [kind + "_critical" for kind in ("edge", "vertex")
+                if args.mode in (kind, "both")]
+    return _report(args, argv, parser, columns + ["bound_ok", "status"])
 
 
 def cmd_verify(args, argv, parser):
-    lines, digest = _gather_input(args, parser)
-    _parse_all(lines)
-    started = time.monotonic()
-    opts = {"timeout": args.timeout, "theorem": args.theorem_id}
-    results = _run_tasks("verify", lines, opts, args.jobs)
-    checked = skipped = timeouts = errors = 0
-    disagreements = []
-    positives = []
-    for r in results:
-        if r["status"] == "skipped":
-            skipped += 1
-        elif r["status"] == "timeout":
-            timeouts += 1
-        elif r["status"] == "error":
-            errors += 1
-        else:
-            checked += 1
-            v = r["verdict"]
-            if not v["agree"]:
-                disagreements.append(v)
-            if v["structural_verdict"]:
-                positives.append(v["graph6"])
-    disagreements.sort(key=lambda v: v["graph6"])
-    summary = {
-        "command": argv,
-        "input_digest": digest,
-        "theorem_id": args.theorem_id,
-        "checked": checked,
-        "skipped": skipped,
-        "timeouts": timeouts,
-        "disagreements": len(disagreements),
-        "errors": errors,
-        "positives": sorted(positives),
-        "timing": {"seconds": time.monotonic() - started},
-        "version": __version__,
-    }
+    rows, digest, started = _run(args, parser)
+    counts = Counter(r["status"] for r in rows)
+    verdicts = [r["verdict"] for r in rows if r["status"] == "ok"]
+    disagreements = sorted((v for v in verdicts if not v["agree"]),
+                           key=lambda v: v["graph6"])
     if args.format == "tsv":
         _print_tsv(disagreements,
                    ["theorem_id", "graph6", "structural_verdict", "ground_truth"])
         print("# checked=%d skipped=%d timeouts=%d disagreements=%d errors=%d"
-              % (checked, skipped, timeouts, len(disagreements), errors))
+              % (counts["ok"], counts["skipped"], counts["timeout"],
+                 len(disagreements), counts["error"]))
     else:
         for v in disagreements:
             print(json.dumps(v, sort_keys=True))
-        print(json.dumps(summary, sort_keys=True))
-    return 1 if disagreements or errors else 0
+        print(json.dumps({
+            "command": argv,
+            "input_digest": digest,
+            "theorem_id": args.theorem_id,
+            "checked": counts["ok"],
+            "skipped": counts["skipped"],
+            "timeouts": counts["timeout"],
+            "disagreements": len(disagreements),
+            "errors": counts["error"],
+            "positives": sorted(v["graph6"] for v in verdicts
+                                if v["structural_verdict"]),
+            "timing": {"seconds": time.monotonic() - started},
+            "version": __version__,
+        }, sort_keys=True))
+    return 1 if disagreements or counts["error"] else 0
+
+
+# family -> (parameter count, generator of its graphs); leafy's None means
+# a cycle length followed by any number of leaf counts
+_FAMILIES = {
+    **{kind: (1, lambda n, kind=kind: [gen_basic(kind, n)])
+       for kind in ("path", "cycle", "complete", "star")},
+    "sharpness": (1, lambda n: [gen_sharpness_family(n)]),
+    "realization": (2, lambda k, n: [gen_realization(k, n)]),
+    "net": (0, lambda: [gen_net()]),
+    "decorated-c4": (0, lambda: [gen_decorated_c4()]),
+    "decorated-c8": (0, lambda: [gen_decorated_c8()]),
+    "leafy": (None, lambda c, *leaves: [gen_leafy_unicyclic(c, leaves)]),
+    "trees": (1, enumerate_trees),
+    "caterpillars": (1, enumerate_caterpillars),
+    "block-diam2": (1, enumerate_block_graphs_diam2),
+    "block-diam3": (1, enumerate_block_graphs_diam3),
+}
 
 
 def _generate(family, params, parser):
-    def want(k):
-        if len(params) != k:
-            parser.error("family %r takes %d parameter(s), got %d"
-                         % (family, k, len(params)))
-
+    if family not in _FAMILIES:
+        parser.error("unknown family %r" % (family,))
+    count, generate = _FAMILIES[family]
+    if (not params) if count is None else len(params) != count:
+        parser.error("family %r takes %s parameter(s), got %d"
+                     % (family, "1 or more" if count is None else count,
+                        len(params)))
     try:
-        if family in ("path", "cycle", "complete", "star"):
-            want(1)
-            return [gen_basic(family, params[0])]
-        if family == "sharpness":
-            want(1)
-            return [gen_sharpness_family(params[0])]
-        if family == "realization":
-            want(2)
-            return [gen_realization(params[0], params[1])]
-        if family == "net":
-            want(0)
-            return [gen_net()]
-        if family == "decorated-c4":
-            want(0)
-            return [gen_decorated_c4()]
-        if family == "decorated-c8":
-            want(0)
-            return [gen_decorated_c8()]
-        if family == "leafy":
-            if len(params) < 1:
-                parser.error("family 'leafy' needs a cycle length")
-            return [gen_leafy_unicyclic(params[0], params[1:])]
-        if family == "trees":
-            want(1)
-            return list(enumerate_trees(params[0]))
-        if family == "caterpillars":
-            want(1)
-            return list(enumerate_caterpillars(params[0]))
-        if family == "block-diam2":
-            want(1)
-            return list(enumerate_block_graphs_diam2(params[0]))
-        if family == "block-diam3":
-            want(1)
-            return list(enumerate_block_graphs_diam3(params[0]))
+        return list(generate(*params))
     except ValueError as exc:
         parser.error(str(exc))
-    parser.error("unknown family %r" % (family,))
 
 
 def cmd_gen(args, argv, parser):
     items = _generate(args.family, args.params, parser)
-    labels = []
     for it in items:
-        if isinstance(it, LabeledGraph):
-            g, lab = it.graph, it.labels
-        else:
-            g, lab = it, {}
-        print(emit_graph6(g))
-        labels.append({str(k): _jsonable(v) for k, v in sorted(lab.items())})
+        print(emit_graph6(_graph(it)))
     if args.labels:
+        labels = [_jsonable(it.labels if isinstance(it, LabeledGraph) else {})
+                  for it in items]
         with open(args.labels, "w", encoding="ascii") as fh:
             json.dump(labels, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -374,10 +342,7 @@ def build_parser():
     p.set_defaults(func=cmd_critical)
 
     p = subs.add_parser("gen", help="emit a graph family as graph6 lines")
-    p.add_argument("family",
-                   help="path|cycle|complete|star|sharpness|realization|net|"
-                        "decorated-c4|decorated-c8|leafy|trees|caterpillars|"
-                        "block-diam2|block-diam3")
+    p.add_argument("family", help="|".join(_FAMILIES))
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("--labels", help="write vertex/edge labels to this JSON file")
     p.set_defaults(func=cmd_gen)

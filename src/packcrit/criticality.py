@@ -311,10 +311,11 @@ def repair_coloring(g: Graph, e, c_prime) -> PackingColoring:
     return result
 
 
-def _stretched_pairs(g: Graph, e, diam: int):
-    """Pairs u < v that G - e puts farther apart than diam, in order."""
-    dist = all_pairs_distances(delete_edge(g, e)).dist
-    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+def _stretched_pairs(h: Graph, diam: int):
+    """Pairs u < v farther apart than diam in h, a deletion G - e of G, in
+    order."""
+    dist = all_pairs_distances(h).dist
+    return [(u, v) for u in range(h.n) for v in range(u + 1, h.n)
             if dist[u][v] > diam]
 
 
@@ -334,7 +335,7 @@ def detour_drop_criterion(g: Graph, e, u: int, v: int, deadline=None) -> bool:
     diam = metric_summary(g).diameter
     if diam == INFINITY or diam < 1:
         return False
-    if (min(u, v), max(u, v)) not in _stretched_pairs(g, e, diam):
+    if (min(u, v), max(u, v)) not in _stretched_pairs(delete_edge(g, e), diam):
         return False
     chi = packing_chromatic_number(g, deadline=deadline).value
     return _detour_colorable(g, u, v, diam, chi, deadline)

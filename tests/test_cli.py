@@ -76,6 +76,31 @@ class TestChirho:
             cli.main(["chirho"])
         assert exc.value.code == 3
 
+    def test_non_ascii_file_exit_3(self, capsys, tmp_path):
+        p = tmp_path / "graphs.g6"
+        p.write_text("A_\n\u00e9\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["chirho", "--input", str(p)])
+        assert exc.value.code == 3
+        assert "graph6 parse error" in capsys.readouterr().err
+        p.write_bytes(b"A_\n\xff\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["chirho", "--input", str(p)])
+        assert exc.value.code == 3
+
+    def test_non_ascii_stdin_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("A_\n\u00e9\n"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["chirho"])
+        assert exc.value.code == 3
+        assert "graph6 parse error" in capsys.readouterr().err
+        # a stdin that decodes strictly fails on the read itself
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(b"A_\n\xff\n"), encoding="utf-8"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["chirho"])
+        assert exc.value.code == 3
+
     def test_one_raising_graph_keeps_the_batch(self, capsys, monkeypatch, tmp_path):
         real = cli.packing_chromatic_number
 
@@ -165,6 +190,14 @@ class TestCritical:
         assert r["edge_witnesses"]
         assert all(isinstance(w, list) for w in r["edge_witnesses"].values())
 
+    def test_jobs_match_serial(self, capsys):
+        # per-graph cost varies, so this pins the input order of the rows
+        argv = ["critical", "--witness", "--corpus", "connected-le6"]
+        code1, rep1 = run_json(capsys, argv)
+        code2, rep2 = run_json(capsys, argv + ["--jobs", "2"])
+        assert code1 == code2 == 0
+        assert rep1["results"] == rep2["results"]
+
 
 class TestGen:
     def test_net(self, capsys):
@@ -201,6 +234,43 @@ class TestGen:
         with pytest.raises(SystemExit) as exc:
             cli.main(["gen", "cycle"])
         assert exc.value.code == 2
+
+    def test_leafy_without_params_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen", "leafy"])
+        assert exc.value.code == 2
+
+    def test_every_family_matches_its_generator(self, capsys, monkeypatch):
+        import re
+
+        from packcrit import families as fam
+        direct = {
+            "path": ([4], lambda: [fam.gen_basic("path", 4)]),
+            "cycle": ([5], lambda: [fam.gen_basic("cycle", 5)]),
+            "complete": ([4], lambda: [fam.gen_basic("complete", 4)]),
+            "star": ([3], lambda: [fam.gen_basic("star", 3)]),
+            "sharpness": ([2], lambda: [fam.gen_sharpness_family(2)]),
+            "realization": ([5, 3], lambda: [fam.gen_realization(5, 3)]),
+            "net": ([], lambda: [fam.gen_net()]),
+            "decorated-c4": ([], lambda: [fam.gen_decorated_c4()]),
+            "decorated-c8": ([], lambda: [fam.gen_decorated_c8()]),
+            "leafy": ([5, 1, 0, 2, 0, 1],
+                      lambda: [fam.gen_leafy_unicyclic(5, [1, 0, 2, 0, 1])]),
+            "trees": ([6], lambda: fam.enumerate_trees(6)),
+            "caterpillars": ([7], lambda: fam.enumerate_caterpillars(7)),
+            "block-diam2": ([5], lambda: fam.enumerate_block_graphs_diam2(5)),
+            "block-diam3": ([7], lambda: fam.enumerate_block_graphs_diam3(7)),
+        }
+        monkeypatch.setenv("COLUMNS", "400")  # no wrapping inside the list
+        with pytest.raises(SystemExit):
+            cli.main(["gen", "--help"])
+        named = re.search(r"\S+(\|\S+)+", capsys.readouterr().out).group(0)
+        assert set(named.split("|")) == set(direct)
+        for family, (params, generate) in direct.items():
+            code, out = run(capsys, ["gen", family] + [str(p) for p in params])
+            want = [emit_graph6(getattr(it, "graph", it)) for it in generate()]
+            assert code == 0
+            assert out.splitlines() == want, family
 
 
 class TestVerify:
@@ -267,6 +337,21 @@ class TestVerify:
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["timeouts"] == 1
         assert code == 0
+
+    def test_jobs_match_serial(self, capsys):
+        # per-graph cost varies, so this pins the input order of the rows
+        argv = ["verify", "diam2", "--corpus", "connected-le7-diam2"]
+        code1, out1 = run(capsys, argv)
+        code2, out2 = run(capsys, argv + ["--jobs", "2"])
+        lines1, lines2 = out1.splitlines(), out2.splitlines()
+        rep1, rep2 = json.loads(lines1[-1]), json.loads(lines2[-1])
+        for rep in (rep1, rep2):
+            rep.pop("timing")
+            rep.pop("command")
+        assert code1 == code2 == 0
+        assert lines1[:-1] == lines2[:-1]
+        assert rep1 == rep2
+        assert rep1["checked"] > 0
 
 
 class TestParser:
