@@ -87,6 +87,11 @@ class TestChirho:
         with pytest.raises(SystemExit) as exc:
             cli.main(["chirho", "--input", str(p)])
         assert exc.value.code == 3
+        # splitlines would read this as two valid lines
+        p.write_text("A_\u2028A_\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["chirho", "--input", str(p)])
+        assert exc.value.code == 3
 
     def test_non_ascii_stdin_exit_3(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("A_\n\u00e9\n"))
@@ -97,6 +102,10 @@ class TestChirho:
         # a stdin that decodes strictly fails on the read itself
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
             io.BytesIO(b"A_\n\xff\n"), encoding="utf-8"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["chirho"])
+        assert exc.value.code == 3
+        monkeypatch.setattr("sys.stdin", io.StringIO("A_\u2028A_\n"))
         with pytest.raises(SystemExit) as exc:
             cli.main(["chirho"])
         assert exc.value.code == 3
@@ -339,7 +348,7 @@ class TestVerify:
         assert code == 0
 
     def test_jobs_match_serial(self, capsys):
-        # per-graph cost varies, so this pins the input order of the rows
+        # same rows and summary under --jobs 2; the summary sorts its lists
         argv = ["verify", "diam2", "--corpus", "connected-le7-diam2"]
         code1, out1 = run(capsys, argv)
         code2, out2 = run(capsys, argv + ["--jobs", "2"])
