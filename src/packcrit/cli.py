@@ -104,10 +104,12 @@ def _gather_input(args, parser):
             _parse_error(exc)
         except OSError as exc:
             parser.error(str(exc))
-        # before splitlines, which also breaks at U+0085, U+2028 and U+2029
+        # before strip, which also drops U+0085, U+2028 and U+2029
         if not raw.isascii():
             _parse_error("non-ASCII input")
-        lines = [ln for ln in raw.splitlines() if ln.strip()]
+        # a graph6 stream ends each graph with "\n"; str.splitlines would
+        # also break at \x0b, \x0c and \x1c-\x1e inside a line
+        lines = [ln for ln in map(str.strip, raw.split("\n")) if ln]
     for s in lines:
         try:
             parse_graph6(s)
@@ -349,8 +351,12 @@ def build_parser():
                    help="include per-deletion optimal colorings")
     p.set_defaults(func=cmd_critical)
 
-    p = subs.add_parser("gen", help="emit a graph family as graph6 lines")
-    p.add_argument("family", help="|".join(_FAMILIES))
+    # one family per line: help text wrapping breaks names at their hyphens
+    p = subs.add_parser("gen", help="emit a graph family as graph6 lines",
+                        formatter_class=argparse.RawDescriptionHelpFormatter,
+                        epilog="families:\n" + "\n".join(
+                            "  " + name for name in _FAMILIES))
+    p.add_argument("family", help="one of the families listed below")
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("--labels", help="write vertex/edge labels to this JSON file")
     p.set_defaults(func=cmd_gen)

@@ -105,9 +105,9 @@ def emit_graph6(g: Graph) -> str:
 
 
 def parse_graph6_lines(text: str):
-    """Parse one graph per nonblank line."""
+    """Parse one graph per nonblank line; only a newline ends a line."""
     out = []
-    for line in text.splitlines():
+    for line in text.split("\n"):
         line = line.strip()
         if line:
             out.append(parse_graph6(line))

@@ -11,7 +11,9 @@ coloring of the same graph, and then the rest of its domain in ascending
 order.  The subtree below a value does not depend on which sibling values
 went before it, and an infeasible search tries them all, so the hint leaves
 unsatisfiable proofs node for node as they were and only shortens
-satisfiable searches.
+satisfiable searches.  Color 1 starts out of the domain of every vertex of
+degree >= k: its neighbours, pairwise within distance 2, would need deg(v)
+distinct colors from 2..k.
 
 The optimizer works per connected component.  It starts from the smallest
 palette among two constructed colorings (one maximum independent set colored
@@ -23,7 +25,10 @@ or at neighborhood_lower_bound, whichever comes first; each feasible search
 replaces the kept witness.  The bound counts colors inside closed
 neighbourhoods (every color >= 2 appears at most once in one, color 1 on an
 independent set), so where it meets the witnessed palette no unsatisfiable
-search is needed to prove optimality.  Each search of the walk is hinted
+search is needed to prove optimality.  A component of diameter <= 2 counts
+colors the same way as a whole, so chi = n - alpha + 1 (Goddard et al.
+2008), the palette of the independent-set construction: the coloring in
+hand is optimal and no search runs.  Each search of the walk is hinted
 with the coloring in hand, one palette up.  A deadline reaches every search
 and the independence numbers behind the construction and the bound.  The
 search keeps its own stack, so no graph size meets Python's recursion
@@ -132,6 +137,13 @@ def _search(g: Graph, k: int, allowed, deadline, hint=None):
     infeasible search tries every value at every node; so the hint never
     changes the nodes of an infeasible search, only how soon a feasible one
     ends.
+
+    Color 1 starts out of the domain of every vertex of degree >= k.  If v
+    had color 1, its neighbours could not (they are at distance 1), and they
+    are pairwise within distance 2 through v, so no two of them share a
+    color c >= 2: they would need deg(v) distinct colors from 2..k.  That
+    holds in every packing k-coloring, so the cut is sound together with
+    the masks, the twin break and the hint.
     """
     if deadline is not None and time.monotonic() > deadline:
         raise SolveTimeout("deadline expired before search started")
@@ -148,6 +160,9 @@ def _search(g: Graph, k: int, allowed, deadline, hint=None):
     hint_bit = [0] * n if hint is None else [1 << (c - 1) for c in hint]
     for v, mask in allowed.items():
         domains[v] = mask & full
+    for v, row in enumerate(g.rows):
+        if row.bit_count() >= k:
+            domains[v] &= ~1
 
     # conflict[v][c]: vertices that cannot share color c with v, i.e. the
     # vertices at distance 1..c, as prefix ORs of the distance classes
@@ -315,15 +330,22 @@ def _component_value(g: Graph, start, deadline):
     """Chi-rho of a connected (or empty) graph: (value, colors, nodes),
     walking down from the better of the construction and start (or None;
     start wins ties) to the first infeasible palette or to
-    neighborhood_lower_bound."""
+    neighborhood_lower_bound; at diameter <= 2 there is no walk."""
     if g.n == 0:
         return 0, (), 0
     colors = _construction(g, deadline)
     if start is not None and max(start) <= max(colors):
         colors = start
     k = max(colors)
-    # a connected graph with two or more colors has an edge, so chi >= 2
-    floor = k if k <= 2 else neighborhood_lower_bound(g, deadline)
+    # at diameter <= 2 the coloring in hand is optimal: every color >= 2 is
+    # used at most once and color 1 on an independent set, so chi is at
+    # least n - alpha + 1, the palette of the spread construction; this
+    # covers every palette <= 2, since a connected graph with a packing
+    # 2-coloring is a star
+    if max(map(max, all_pairs_distances(g).dist)) <= 2:
+        floor = k
+    else:
+        floor = neighborhood_lower_bound(g, deadline)
     nodes = 0
     while k > floor:
         # the coloring in hand guides the search one palette down

@@ -64,7 +64,7 @@ class TestChirho:
 
     def test_timeout_status(self, capsys, monkeypatch):
         from packcrit import gen_sharpness_family
-        g6 = emit_graph6(gen_sharpness_family(4).graph)
+        g6 = emit_graph6(gen_sharpness_family(5).graph)
         monkeypatch.setattr("sys.stdin", io.StringIO(g6))
         code, rep = run_json(capsys, ["chirho", "--timeout", "0.01"])
         assert rep["results"][0]["status"] == "timeout"
@@ -109,6 +109,15 @@ class TestChirho:
         with pytest.raises(SystemExit) as exc:
             cli.main(["chirho"])
         assert exc.value.code == 3
+
+    def test_control_character_inside_line_exit_3(self, capsys, tmp_path):
+        # lines end at "\n" only; str.splitlines would also break at \x0b
+        p = tmp_path / "graphs.g6"
+        p.write_bytes(b"A_\x0bA_\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["chirho", "--input", str(p)])
+        assert exc.value.code == 3
+        assert "graph6 parse error" in capsys.readouterr().err
 
     def test_one_raising_graph_keeps_the_batch(self, capsys, monkeypatch, tmp_path):
         real = cli.packing_chromatic_number
@@ -208,7 +217,19 @@ class TestCritical:
         assert rep1["results"] == rep2["results"]
 
 
+def gen_help_families(capsys, monkeypatch):
+    """The family names `gen --help` lists on an 80-column terminal."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        cli.main(["gen", "--help"])
+    return capsys.readouterr().out.split("families:\n")[1].split()
+
+
 class TestGen:
+    def test_help_keeps_family_names_whole(self, capsys, monkeypatch):
+        # argparse's wrapping would break decorated-c4 at its hyphen
+        assert gen_help_families(capsys, monkeypatch) == list(cli._FAMILIES)
+
     def test_net(self, capsys):
         code, out = run(capsys, ["gen", "net"])
         assert code == 0
@@ -250,8 +271,6 @@ class TestGen:
         assert exc.value.code == 2
 
     def test_every_family_matches_its_generator(self, capsys, monkeypatch):
-        import re
-
         from packcrit import families as fam
         direct = {
             "path": ([4], lambda: [fam.gen_basic("path", 4)]),
@@ -270,11 +289,8 @@ class TestGen:
             "block-diam2": ([5], lambda: fam.enumerate_block_graphs_diam2(5)),
             "block-diam3": ([7], lambda: fam.enumerate_block_graphs_diam3(7)),
         }
-        monkeypatch.setenv("COLUMNS", "400")  # no wrapping inside the list
-        with pytest.raises(SystemExit):
-            cli.main(["gen", "--help"])
-        named = re.search(r"\S+(\|\S+)+", capsys.readouterr().out).group(0)
-        assert set(named.split("|")) == set(direct)
+        named = gen_help_families(capsys, monkeypatch)
+        assert set(named) == set(direct)
         for family, (params, generate) in direct.items():
             code, out = run(capsys, ["gen", family] + [str(p) for p in params])
             want = [emit_graph6(getattr(it, "graph", it)) for it in generate()]
@@ -340,7 +356,7 @@ class TestVerify:
 
     def test_timeout_rows(self, capsys, monkeypatch):
         from packcrit import gen_sharpness_family
-        g6 = emit_graph6(gen_sharpness_family(4).graph)
+        g6 = emit_graph6(gen_sharpness_family(5).graph)
         monkeypatch.setattr("sys.stdin", io.StringIO(g6))
         code, out = run(capsys, ["verify", "edge-bound", "--timeout", "0.01"])
         summary = json.loads(out.strip().splitlines()[-1])

@@ -93,6 +93,11 @@ class TestLines:
         graphs = list(parse_graph6_lines(text))
         assert [g.n for g in graphs] == [1, 2, 3]
 
+    def test_lines_end_at_newline_only(self):
+        # \x0b inside a line is no line break, so the line does not parse
+        with pytest.raises(Graph6Error):
+            list(parse_graph6_lines("A_\x0bA_\n"))
+
     def test_error_carries_through(self):
         with pytest.raises(Graph6Error):
             list(parse_graph6_lines("@\nD?\n"))

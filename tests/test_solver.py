@@ -7,16 +7,19 @@ from packcrit import (
     Graph,
     PackingColoring,
     SolveTimeout,
+    all_pairs_distances,
     brute_force_chi_rho,
     decide_packing_k_colorable,
     disjoint_union,
     gen_basic,
     gen_realization,
+    independence_number,
     is_valid_packing_coloring,
     neighborhood_lower_bound,
     packing_chromatic_number,
 )
-from packcrit.corpus import all_graphs, connected_graphs
+from packcrit.corpus import all_graphs, connected_graphs, load_corpus
+from packcrit.solver import _search
 
 
 def assert_optimal_witness(g, res):
@@ -34,6 +37,27 @@ def cycle(n):
 
 def complete(n):
     return gen_basic("complete", n).graph
+
+
+def plain_colorable(g, k, masks):
+    """Label-order backtracking under the distance rule and the masks alone,
+    with none of the search's pruning: no twin break, no color-1 cut."""
+    dist = all_pairs_distances(g).dist
+    colors = []
+
+    def extend(v):
+        if v == g.n:
+            return True
+        for c in range(1, k + 1):
+            if masks.get(v, -1) >> (c - 1) & 1 and all(
+                    colors[u] != c or dist[u][v] > c for u in range(v)):
+                colors.append(c)
+                if extend(v + 1):
+                    return True
+                colors.pop()
+        return False
+
+    return extend(0)
 
 
 def relabel(g, perm):
@@ -150,7 +174,8 @@ class TestValues:
             packing_chromatic_number(cycle(5), start=start)
 
     def test_node_count_reported(self):
-        res = packing_chromatic_number(cycle(5))
+        # diameter 3, so the walk must search (C5's diameter 2 needs none)
+        res = packing_chromatic_number(cycle(7))
         assert res.node_count > 0
 
     def test_long_cycle_within_recursion_limit(self):
@@ -162,12 +187,22 @@ class TestValues:
 
     def test_walk_follows_the_coloring_in_hand(self):
         # each search of the walk tries the previous palette's coloring
-        # first; without that this graph takes 74,054 nodes
+        # first (74,054 nodes without that), and the color-1 degree cut
+        # shrinks the unsatisfiable proof (20,087 nodes without it)
         g = gen_realization(7, 4).graph
         res = packing_chromatic_number(g)
         assert res.value == 7
         assert_optimal_witness(g, res)
-        assert res.node_count <= 21_000
+        assert res.node_count <= 2_000
+
+    def test_diameter_two_solved_by_construction(self):
+        # at diameter 2 chi = n - alpha + 1 (Goddard et al. 2008), the
+        # palette of the spread construction, so no search runs
+        for g in load_corpus("connected-le7-diam2"):
+            res = packing_chromatic_number(g)
+            assert res.node_count == 0
+            assert res.value == g.n - independence_number(g)[0] + 1
+            assert_optimal_witness(g, res)
 
     def test_walk_stops_at_the_bound(self):
         # K4 and the triangle with a tail meet their bound at the
@@ -222,6 +257,28 @@ class TestDecide:
             decide_packing_k_colorable(path(2), 2, pinned={0: 3})
         with pytest.raises(ValueError):
             decide_packing_k_colorable(path(2), 2, pinned={5: 1})
+
+    def test_search_matches_oracle_exhaustive(self):
+        # every palette of every graph on up to 6 vertices, without masks
+        # against the oracle and with masks on two vertices against the
+        # plain search; the color-1 cut and the twin break stay sound
+        rng = random.Random(6)
+        for g in all_graphs(6):
+            chi = brute_force_chi_rho(g)
+            for k in range(1, g.n + 1):
+                cases = [({}, k >= chi)]
+                for _ in range(3 if g.n >= 2 else 0):
+                    u, v = rng.sample(range(g.n), 2)
+                    masks = {u: rng.randrange(1 << k), v: rng.randrange(1 << k)}
+                    cases.append((masks, plain_colorable(g, k, masks)))
+                for masks, want in cases:
+                    found, _ = _search(g, k, masks, None)
+                    assert (found is not None) == want, (g, k, masks)
+                    if found is not None:
+                        assert is_valid_packing_coloring(g, found)
+                        assert max(found) <= k
+                        assert all(m >> (found[v] - 1) & 1
+                                   for v, m in masks.items())
 
     def test_twin_break_keeps_satisfiable_pins(self):
         # two leaves on the same support are twins; pinning one of them to a
