@@ -9,25 +9,43 @@ clearance counter per color.
 For a color c >= 2 let u be the spine distance to its most recent use on
 the spine and v the spine distance to its most recent use on a leaf.  A
 new use is legal iff the true distance exceeds c, which collapses to the
-single counter w = min(u, v + 1): a spine use needs w >= c + 1, a leaf use
-needs w >= c.  Color 1 never travels: leaves at a position may all take 1
-unless their spine vertex does, adjacent spine vertices cannot both take
-1, and a spine vertex taking 1 forces its leaves onto distinct colors
->= 2.  When the spine vertex takes a color >= 2, recoloring every leaf to
-1 keeps any valid completion valid, so only that assignment is explored.
+single counter w_c = min(u, v + 1), saturated at c + 1: a spine use needs
+w_c = c + 1, a leaf use needs w_c >= c.  Color 1 never travels: leaves at
+a position may all take 1 unless their spine vertex does, adjacent spine
+vertices cannot both take 1, and a spine vertex taking 1 forces its leaves
+onto distinct colors >= 2.  When the spine vertex takes a color >= 2,
+recoloring every leaf to 1 keeps any valid completion valid, so only that
+assignment is explored.
 
-The state space S is bounded by 2 * (k+2)!/3! and depends only on k, so
-one decision expands each (state, leaf count) pair once, at a cost of the
-per-state branching B, and every later spine position that meets the
-pair again is a table lookup: at most S expansions per distinct leaf
-count, plus one lookup per frontier state per position.  The table is
-built per call, shared by the call's components and dropped when it
-returns.  Each position's frontier keeps the
-insertion order of the states it reached, so the sweep and its witness
-are deterministic.  For the values caterpillars can need (never more than
-seven) this is fast even on hundreds of vertices.
-The general solver in this package proves the same answers by search on
-small instances; the test suite pins the two routes together.
+A state is the flag "the spine vertex took 1" with the counters w_2..w_k,
+packed into one integer.  Each counter has a field of
+(k+1).bit_length() + 1 bits: the low bits hold 0..k+1 and the top bit is a
+guard that is always clear in a stored state.  Color 2 has the most
+significant field and the flag sits above them all.  Fields are fixed width
+and never overflow, so comparing two packed states compares the flag first
+and then the counters from color 2 up, which is the order of the tuples
+(flag, (w_2, ..., w_k)).  Setting every guard bit and subtracting the
+thresholds c (or c + 1) field by field leaves the guard of color c set iff
+w_c >= c (or w_c = c + 1) without a borrow crossing fields; the same
+spine test gives the fields below their cap, which the saturating +1 bumps.
+
+The moves from a state depend only on the palette k, the state and the
+number of leaves at the position, and a position with k or more leaves has
+the same moves as one with k (at most k - 1 colors are left for them), so
+they are expanded once per (state, min(leaves, k)) and kept in a module
+table per palette for later calls.  Its size is bounded by the whole
+automaton for that palette: 12, 44, 205, 1,140, 7,119 and 48,688 entries
+for k = 2..7, about 31 MiB (tracemalloc) at k = 7 if a caller walks all
+of it.  Each position's frontier keeps the insertion order of the states
+it reached and the witness ends in the smallest final state, so the sweep
+and its witness are deterministic and do not depend on what the table held
+before.
+
+Every caterpillar has a packing 7-coloring (Goddard, Hedetniemi,
+Hedetniemi, Harris & Rall, "Broadcast chromatic numbers of graphs", Ars
+Combinatoria 2008), so a palette above seven is swept at seven.  The
+general solver in this package proves the same answers by search on small
+instances; the test suite pins the two routes together.
 """
 
 from __future__ import annotations
@@ -35,8 +53,58 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from .families import LabeledGraph, is_caterpillar
-from .graphs import Graph, connected_components, induced_subgraph
+from .families import LabeledGraph
+from .graphs import Graph, connected_components
+
+# every caterpillar is packing 7-colorable (Goddard et al. 2008)
+MAX_PALETTE = 7
+
+
+def _component_profile(rows, comp):
+    """(leaf_counts, spine, leaves) of the component with sorted vertex list
+    comp, in g's own vertex ids; ValueError when it is not a caterpillar.
+
+    It is a tree iff its degrees sum to 2(|comp| - 1), and then a
+    caterpillar iff no interior vertex has three interior neighbors; the
+    spine is walked from its smallest end.
+    """
+    size = len(comp)
+    if sum(rows[v].bit_count() for v in comp) != 2 * (size - 1):
+        raise ValueError("graph is not a connected caterpillar")
+    if size == 1:
+        return (0,), (comp[0],), ((),)
+    if size == 2:
+        return (1,), (comp[0],), ((comp[1],),)
+    interior = [v for v in comp if rows[v] & (rows[v] - 1)]
+    inner = 0
+    for v in interior:
+        inner |= 1 << v
+    ends = []
+    for v in interior:
+        d = (rows[v] & inner).bit_count()
+        if d > 2:
+            raise ValueError("graph is not a connected caterpillar")
+        if d <= 1:
+            ends.append(v)
+    cur = ends[0]
+    spine = [cur]
+    seen = 1 << cur
+    while True:
+        nxt = rows[cur] & inner & ~seen
+        if not nxt:
+            break
+        cur = nxt.bit_length() - 1
+        spine.append(cur)
+        seen |= nxt
+    leaves = []
+    for s in spine:
+        out = []
+        m = rows[s] & ~inner
+        while m:
+            out.append((m & -m).bit_length() - 1)
+            m &= m - 1
+        leaves.append(tuple(out))
+    return tuple(len(t) for t in leaves), tuple(spine), tuple(leaves)
 
 
 def caterpillar_profile(g: Graph):
@@ -48,32 +116,10 @@ def caterpillar_profile(g: Graph):
     a connected caterpillar.  Orientation is fixed by smallest endpoint so
     repeated calls agree.
     """
-    if not is_caterpillar(g):
+    comps = connected_components(g)
+    if len(comps) != 1:
         raise ValueError("graph is not a connected caterpillar")
-    if g.n == 1:
-        return (0,), (0,), ((),)
-    if g.n == 2:
-        return (1,), (0,), ((1,),)
-    interior = [v for v in range(g.n) if g.degree(v) >= 2]
-    if len(interior) == 1:
-        hub = interior[0]
-        return ((g.n - 1,), (hub,),
-                (tuple(sorted(g.neighbors(hub))),))
-    inner = set(interior)
-    ends = [v for v in interior
-            if sum(1 for u in g.neighbors(v) if u in inner) <= 1]
-    cur = min(ends)
-    spine = [cur]
-    prev = -1
-    while True:
-        nxt = [u for u in g.neighbors(cur) if u in inner and u != prev]
-        if not nxt:
-            break
-        prev, cur = cur, nxt[0]
-        spine.append(cur)
-    leaves = tuple(tuple(sorted(u for u in g.neighbors(s) if g.degree(u) == 1))
-                   for s in spine)
-    return tuple(len(t) for t in leaves), tuple(spine), leaves
+    return _component_profile(g.rows, comps[0])
 
 
 def caterpillar_from_profile(leaf_counts) -> LabeledGraph:
@@ -99,56 +145,84 @@ def caterpillar_from_profile(leaf_counts) -> LabeledGraph:
     return LabeledGraph(Graph.from_edges(nxt, edges), labels)
 
 
-def _moves(state, cnt, k, caps):
-    """Legal (next_state, (spine_color, leaf_colorset)) pairs from state at a
-    spine position with cnt leaves."""
+class _Layout:
+    """Field positions and per-field constants of the packed states for
+    one palette k >= 1."""
+
+    def __init__(self, k):
+        width = (k + 1).bit_length() + 1
+        self.guard_shift = width - 1
+        self.shift = {c: width * (k - c) for c in range(2, k + 1)}
+        self.field = {c: ((1 << width) - 1) << s for c, s in self.shift.items()}
+        self.flag = 1 << width * (k - 1)
+        self.guards = sum(1 << s + width - 1 for s in self.shift.values())
+        self.leaf_ok = sum(c << s for c, s in self.shift.items())
+        self.caps = sum(c + 1 << s for c, s in self.shift.items())
+
+    def ready(self, x, thresholds):
+        """Guard bits of the colors c whose counter in x reaches the
+        threshold that `thresholds` holds in c's field."""
+        return ((x | self.guards) - thresholds) & self.guards
+
+    def advance(self, x):
+        """Move one spine position on: each counter w_c below its cap c + 1
+        goes up by one."""
+        return x + ((self.guards ^ self.ready(x, self.caps))
+                    >> self.guard_shift)
+
+
+def _moves(state, cnt, k, lay):
+    """(next_state, (state, (spine_color, leaf_colorset))) for each legal
+    move from state at a spine position with cnt leaves, in the order the
+    sweep tries them."""
     out = []
-    bit, w = state
-    if not bit and k >= 1:
-        avail = [c for c in range(2, k + 1) if w[c - 2] >= c]
-        if len(avail) >= cnt:
-            for S in combinations(avail, cnt):
-                w2 = list(w)
-                for c in S:
-                    # a leaf use sits one step off the spine, so its
-                    # clearance starts at 1, not 0
-                    w2[c - 2] = 1
-                nstate = (True, tuple(min(x + 1, caps[i])
-                                      for i, x in enumerate(w2)))
-                out.append((nstate, (1, S)))
+    if not state & lay.flag:
+        ok = lay.ready(state, lay.leaf_ok)
+        avail = [c for c in range(2, k + 1)
+                 if ok >> lay.shift[c] + lay.guard_shift & 1]
+        for S in combinations(avail, cnt):
+            x = state
+            for c in S:
+                # a leaf use sits one step off the spine, so its
+                # clearance starts at 1, not 0
+                x = x & ~lay.field[c] | 1 << lay.shift[c]
+            out.append((lay.advance(x) | lay.flag, (state, (1, S))))
+    ok = lay.ready(state, lay.caps)
     for cs in range(2, k + 1):
-        if w[cs - 2] < cs + 1:
-            continue
-        w2 = list(w)
-        w2[cs - 2] = 0
-        nstate = (False, tuple(min(x + 1, caps[i])
-                               for i, x in enumerate(w2)))
-        out.append((nstate, (cs, ())))
+        if ok >> lay.shift[cs] + lay.guard_shift & 1:
+            x = state & ~lay.field[cs] & ~lay.flag
+            out.append((lay.advance(x), (state, (cs, ()))))
     return out
 
 
-def _sweep(counts, k, moves):
+# palette -> (layout, {min(leaf count, k): {state: _moves list}})
+_TABLES: dict = {}
+
+
+def _sweep(counts, k):
     """Feasibility sweep; returns per-position (spine_color, leaf_colorset)
     choices for one valid coloring, or None.
 
-    moves maps (state, leaf count) to that pair's _moves list.  It belongs
-    to one decide call, so each pair is expanded once per call and every
-    later position with the same pair is a lookup.  The frontier is the
-    previous position's dict, visited in insertion order.
+    Each position's frontier is a dict from the states reached to the
+    (previous state, choice) that first reached them, visited in insertion
+    order; the moves come from the palette's kept table.
     """
-    caps = tuple(c + 1 for c in range(2, k + 1))
-    frontier = ((False, caps),)
+    entry = _TABLES.get(k)
+    if entry is None:
+        entry = _TABLES[k] = (_Layout(k), {})
+    lay, table = entry
+    frontier = (lay.caps,)
     parents = []
     for cnt in counts:
+        row = table.setdefault(min(cnt, k), {})
         step: dict = {}
         for state in frontier:
-            key = (state, cnt)
-            succ = moves.get(key)
+            succ = row.get(state)
             if succ is None:
-                succ = moves[key] = _moves(state, cnt, k, caps)
-            for nstate, choice in succ:
+                succ = row[state] = _moves(state, cnt, k, lay)
+            for nstate, back in succ:
                 if nstate not in step:
-                    step[nstate] = (state, choice)
+                    step[nstate] = back
         if not step:
             return None
         parents.append(step)
@@ -167,30 +241,33 @@ def decide_caterpillar_k_colorable(g: Graph, k: int) -> Optional[tuple]:
 
     Every component of g must be a caterpillar; otherwise ValueError, for
     any k.  Same return convention as the general decision solver: a tuple
-    of colors indexed by vertex, or None when no such coloring exists.
+    of colors indexed by vertex, or None when no such coloring exists.  A
+    palette above MAX_PALETTE is swept at MAX_PALETTE, so its coloring uses
+    at most that many colors; AssertionError if that sweep fails.
     """
     if g.n == 0:
         return ()
-    parts = []
-    for comp in connected_components(g):
-        sub, kept = induced_subgraph(g, comp)
-        parts.append((kept, caterpillar_profile(sub)))
+    parts = [_component_profile(g.rows, comp)
+             for comp in connected_components(g)]
     if k <= 0:
         return None
+    palette = min(k, MAX_PALETTE)
     colors = [0] * g.n
-    moves: dict = {}
-    for kept, (counts, spine, leaves) in parts:
-        choices = _sweep(counts, k, moves)
+    for counts, spine, leaves in parts:
+        choices = _sweep(counts, palette)
         if choices is None:
+            if palette < k:
+                raise AssertionError("no packing %d-coloring of a caterpillar"
+                                     % palette)
             return None
         for i, (cs, S) in enumerate(choices):
-            colors[kept[spine[i]]] = cs
+            colors[spine[i]] = cs
             if cs == 1:
                 for leaf, c in zip(leaves[i], S):
-                    colors[kept[leaf]] = c
+                    colors[leaf] = c
             else:
                 for leaf in leaves[i]:
-                    colors[kept[leaf]] = 1
+                    colors[leaf] = 1
     return tuple(colors)
 
 
@@ -201,6 +278,7 @@ def caterpillar_chi_rho(g: Graph) -> int:
     k = 1
     while decide_caterpillar_k_colorable(g, k) is None:
         k += 1
-        if k > g.n:
-            raise AssertionError("sweep failed to terminate by k = n")
+        if k > MAX_PALETTE:
+            raise AssertionError("sweep failed to terminate by k = %d"
+                                 % MAX_PALETTE)
     return k

@@ -17,8 +17,9 @@ Exit codes: 0 success (and, for verify, zero disagreements and zero errors),
 3 graph6 parse error (including non-ASCII input).  A graph that raises
 becomes a row with status "error" and the exception in "error", and one
 that runs out of time a row with status "timeout"; the other graphs of the
-batch still run.  Output is deterministic for fixed inputs except the
-timing field.
+batch still run.  `--timeout` takes a finite positive number of seconds;
+any other value is a usage error.  Output is deterministic for fixed
+inputs except the timing field.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from collections import Counter
@@ -171,7 +173,8 @@ def _solve_task(task):
     own "status" (verify's "skipped") wins over "ok"."""
     s, opts = task
     g = parse_graph6(s)
-    deadline = time.monotonic() + opts.timeout if opts.timeout else None
+    deadline = (time.monotonic() + opts.timeout
+                if opts.timeout is not None else None)
     try:
         return {"graph6": s, "status": "ok",
                 **_ROWS[opts.command](g, opts, deadline)}
@@ -319,12 +322,24 @@ def cmd_gen(args, argv, parser):
     return 0
 
 
+def _timeout_seconds(text):
+    """--timeout's type: a finite positive number of seconds."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise argparse.ArgumentTypeError(
+            "must be a finite positive number of seconds, got %r" % text)
+    return seconds
+
+
 def _add_common(sub):
     sub.add_argument("--corpus", help="builtin corpus name (builtin:NAME or NAME)")
     sub.add_argument("--input", help="file of graph6 lines; default stdin")
     sub.add_argument("--jobs", type=int, default=1,
                      help="worker processes for corpus runs")
-    sub.add_argument("--timeout", type=float, default=None,
+    sub.add_argument("--timeout", type=_timeout_seconds, default=None,
                      help="per-graph solve timeout in seconds")
     sub.add_argument("--format", choices=("json", "tsv"), default="json")
 

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,7 @@ from packcrit import (
     packing_chromatic_number,
     parse_graph6,
 )
+from packcrit import caterpillar
 from packcrit.canon import canonical_key
 
 
@@ -160,6 +163,54 @@ class TestDecide:
             want = packing_chromatic_number(g).value
             assert caterpillar_chi_rho(g) == want
         assert caterpillar_chi_rho(gen_basic("path", 101).graph) == 3
+
+
+class TestPalette:
+    """Palettes above seven are swept at seven (Goddard et al. 2008)."""
+
+    @pytest.mark.parametrize("k", [8, 12, 20])
+    def test_large_palette_clamped(self, k):
+        g = comb(35, 4)
+        start = time.perf_counter()
+        colors = decide_caterpillar_k_colorable(g, k)
+        assert time.perf_counter() - start < 1.0
+        assert is_valid_packing_coloring(g, colors)
+        assert max(colors) <= caterpillar.MAX_PALETTE
+
+    def test_failed_clamped_sweep_raises(self, monkeypatch):
+        # comb(35, 4) needs seven colors; a clamp at five cannot hold it
+        monkeypatch.setattr(caterpillar, "MAX_PALETTE", 5)
+        with pytest.raises(AssertionError):
+            decide_caterpillar_k_colorable(comb(35, 4), 6)
+        with pytest.raises(AssertionError):
+            caterpillar_chi_rho(comb(35, 4))
+        assert decide_caterpillar_k_colorable(comb(35, 4), 5) is None
+
+
+class TestKeptTable:
+    def test_bounded_by_the_palette_automaton(self):
+        # 1,140 = every reachable k = 5 state times leaf counts 0..5; keyed
+        # by the raw leaf count these sweeps alone would add 3,115 entries
+        for m in range(1, 61):
+            g = gen_basic("star", m).graph
+            assert is_valid_packing_coloring(
+                g, decide_caterpillar_k_colorable(g, 5))
+        for teeth in range(61):
+            decide_caterpillar_k_colorable(comb(6, teeth), 5)
+        assert sum(map(len, caterpillar._TABLES[5][1].values())) <= 1140
+
+    def test_history_independent(self, monkeypatch):
+        monkeypatch.setattr(caterpillar, "_TABLES", {})
+        g = caterpillar_from_profile([2, 0, 3, 1, 4, 1, 0, 2]).graph
+        k = caterpillar_chi_rho(g)
+        first = decide_caterpillar_k_colorable(g, k)
+        for other, palette in ((comb(12, 2), 6), (comb(9, 3), 4),
+                               (disjoint_union(comb(5, 1), Graph.empty(3)), 3),
+                               (comb(35, 4), 7), (comb(20, 1), k)):
+            decide_caterpillar_k_colorable(other, palette)
+        assert decide_caterpillar_k_colorable(g, k) == first
+        monkeypatch.setattr(caterpillar, "_TABLES", {})
+        assert decide_caterpillar_k_colorable(g, k) == first
 
 
 class TestFrozenThresholds:

@@ -1,5 +1,7 @@
 import io
 import json
+import time
+import types
 
 import pytest
 
@@ -16,6 +18,18 @@ def run(capsys, argv):
 def run_json(capsys, argv):
     code, out = run(capsys, argv)
     return code, json.loads(out)
+
+
+def expire_deadlines(monkeypatch):
+    """Set the CLI's clock an hour back, so every per-graph deadline it sets
+    has passed before the solve first polls the real clock."""
+    clock = time.monotonic
+    monkeypatch.setattr(cli, "time",
+                        types.SimpleNamespace(monotonic=lambda: clock() - 3600))
+
+
+# C7 has diameter 3, so its value needs a search, which polls the deadline
+C7 = emit_graph6(gen_basic("cycle", 7).graph)
 
 
 class TestChirho:
@@ -63,12 +77,22 @@ class TestChirho:
         assert lines[1].split("\t")[2] == "2"
 
     def test_timeout_status(self, capsys, monkeypatch):
-        from packcrit import gen_sharpness_family
-        g6 = emit_graph6(gen_sharpness_family(5).graph)
-        monkeypatch.setattr("sys.stdin", io.StringIO(g6))
-        code, rep = run_json(capsys, ["chirho", "--timeout", "0.01"])
+        monkeypatch.setattr("sys.stdin", io.StringIO(C7))
+        code, rep = run_json(capsys, ["chirho", "--timeout", "60"])
+        assert rep["results"][0]["status"] == "ok"
+        expire_deadlines(monkeypatch)
+        monkeypatch.setattr("sys.stdin", io.StringIO(C7))
+        code, rep = run_json(capsys, ["chirho", "--timeout", "60"])
         assert rep["results"][0]["status"] == "timeout"
         assert code == 0
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_timeout_must_be_finite_positive(self, capsys, monkeypatch, value):
+        monkeypatch.setattr("sys.stdin", io.StringIO(C7))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["chirho", "--timeout", value])
+        assert exc.value.code == 2
+        assert "finite positive" in capsys.readouterr().err
 
     def test_parse_error_exit_3(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("not-a-graph\n"))
@@ -355,10 +379,9 @@ class TestVerify:
         assert code == 1
 
     def test_timeout_rows(self, capsys, monkeypatch):
-        from packcrit import gen_sharpness_family
-        g6 = emit_graph6(gen_sharpness_family(5).graph)
-        monkeypatch.setattr("sys.stdin", io.StringIO(g6))
-        code, out = run(capsys, ["verify", "edge-bound", "--timeout", "0.01"])
+        expire_deadlines(monkeypatch)
+        monkeypatch.setattr("sys.stdin", io.StringIO(C7))
+        code, out = run(capsys, ["verify", "edge-bound", "--timeout", "60"])
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["timeouts"] == 1
         assert code == 0
