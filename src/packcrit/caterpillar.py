@@ -53,73 +53,11 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from .families import LabeledGraph
+from .families import LabeledGraph, caterpillar_component_profile
 from .graphs import Graph, connected_components
 
 # every caterpillar is packing 7-colorable (Goddard et al. 2008)
 MAX_PALETTE = 7
-
-
-def _component_profile(rows, comp):
-    """(leaf_counts, spine, leaves) of the component with sorted vertex list
-    comp, in g's own vertex ids; ValueError when it is not a caterpillar.
-
-    It is a tree iff its degrees sum to 2(|comp| - 1), and then a
-    caterpillar iff no interior vertex has three interior neighbors; the
-    spine is walked from its smallest end.
-    """
-    size = len(comp)
-    if sum(rows[v].bit_count() for v in comp) != 2 * (size - 1):
-        raise ValueError("graph is not a connected caterpillar")
-    if size == 1:
-        return (0,), (comp[0],), ((),)
-    if size == 2:
-        return (1,), (comp[0],), ((comp[1],),)
-    interior = [v for v in comp if rows[v] & (rows[v] - 1)]
-    inner = 0
-    for v in interior:
-        inner |= 1 << v
-    ends = []
-    for v in interior:
-        d = (rows[v] & inner).bit_count()
-        if d > 2:
-            raise ValueError("graph is not a connected caterpillar")
-        if d <= 1:
-            ends.append(v)
-    cur = ends[0]
-    spine = [cur]
-    seen = 1 << cur
-    while True:
-        nxt = rows[cur] & inner & ~seen
-        if not nxt:
-            break
-        cur = nxt.bit_length() - 1
-        spine.append(cur)
-        seen |= nxt
-    leaves = []
-    for s in spine:
-        out = []
-        m = rows[s] & ~inner
-        while m:
-            out.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        leaves.append(tuple(out))
-    return tuple(len(t) for t in leaves), tuple(spine), tuple(leaves)
-
-
-def caterpillar_profile(g: Graph):
-    """Decompose a connected caterpillar into spine order and leaf lists.
-
-    Returns (leaf_counts, spine, leaves) where spine is a tuple of vertex
-    ids in path order, leaves[i] lists the pendant neighbors of spine[i],
-    and leaf_counts[i] == len(leaves[i]).  Raises ValueError when g is not
-    a connected caterpillar.  Orientation is fixed by smallest endpoint so
-    repeated calls agree.
-    """
-    comps = connected_components(g)
-    if len(comps) != 1:
-        raise ValueError("graph is not a connected caterpillar")
-    return _component_profile(g.rows, comps[0])
 
 
 def caterpillar_from_profile(leaf_counts) -> LabeledGraph:
@@ -247,7 +185,7 @@ def decide_caterpillar_k_colorable(g: Graph, k: int) -> Optional[tuple]:
     """
     if g.n == 0:
         return ()
-    parts = [_component_profile(g.rows, comp)
+    parts = [caterpillar_component_profile(g.rows, comp)
              for comp in connected_components(g)]
     if k <= 0:
         return None
@@ -272,13 +210,14 @@ def decide_caterpillar_k_colorable(g: Graph, k: int) -> Optional[tuple]:
 
 
 def caterpillar_chi_rho(g: Graph) -> int:
-    """Exact packing chromatic number of a caterpillar forest."""
+    """Exact packing chromatic number of a caterpillar forest.
+
+    A forest that is not packing MAX_PALETTE-colorable makes the decision
+    at MAX_PALETTE + 1 raise AssertionError.
+    """
     if g.n == 0:
         return 0
     k = 1
     while decide_caterpillar_k_colorable(g, k) is None:
         k += 1
-        if k > MAX_PALETTE:
-            raise AssertionError("sweep failed to terminate by k = %d"
-                                 % MAX_PALETTE)
     return k

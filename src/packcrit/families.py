@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, GraphError, induced_subgraph, is_tree
+from .graphs import Graph, GraphError, connected_components, is_tree
 
 
 @dataclass(frozen=True)
@@ -142,17 +142,76 @@ def gen_decorated_c8() -> LabeledGraph:
     return gen_leafy_unicyclic(8, [1, 0, 0, 1, 0, 0, 0, 0])
 
 
+def caterpillar_component_profile(rows, comp):
+    """(leaf_counts, spine, leaves) of the component with sorted vertex list
+    comp of the graph with adjacency rows, in the graph's own vertex ids;
+    ValueError when it is not a caterpillar.
+
+    It is a tree iff its degrees sum to 2(|comp| - 1), and then a
+    caterpillar iff no interior vertex has three interior neighbors; the
+    spine is walked from its smallest end.
+    """
+    size = len(comp)
+    if sum(rows[v].bit_count() for v in comp) != 2 * (size - 1):
+        raise ValueError("graph is not a connected caterpillar")
+    if size == 1:
+        return (0,), (comp[0],), ((),)
+    if size == 2:
+        return (1,), (comp[0],), ((comp[1],),)
+    interior = [v for v in comp if rows[v] & (rows[v] - 1)]
+    inner = 0
+    for v in interior:
+        inner |= 1 << v
+    ends = []
+    for v in interior:
+        d = (rows[v] & inner).bit_count()
+        if d > 2:
+            raise ValueError("graph is not a connected caterpillar")
+        if d <= 1:
+            ends.append(v)
+    cur = ends[0]
+    spine = [cur]
+    seen = 1 << cur
+    while True:
+        nxt = rows[cur] & inner & ~seen
+        if not nxt:
+            break
+        cur = nxt.bit_length() - 1
+        spine.append(cur)
+        seen |= nxt
+    leaves = []
+    for s in spine:
+        out = []
+        m = rows[s] & ~inner
+        while m:
+            out.append((m & -m).bit_length() - 1)
+            m &= m - 1
+        leaves.append(tuple(out))
+    return tuple(len(t) for t in leaves), tuple(spine), tuple(leaves)
+
+
+def caterpillar_profile(g: Graph):
+    """Decompose a connected caterpillar into spine order and leaf lists.
+
+    Returns (leaf_counts, spine, leaves) where spine is a tuple of vertex
+    ids in path order, leaves[i] lists the pendant neighbors of spine[i],
+    and leaf_counts[i] == len(leaves[i]).  Raises ValueError when g is not
+    a connected caterpillar.  Orientation is fixed by smallest endpoint so
+    repeated calls agree.
+    """
+    comps = connected_components(g)
+    if len(comps) != 1:
+        raise ValueError("graph is not a connected caterpillar")
+    return caterpillar_component_profile(g.rows, comps[0])
+
+
 def is_caterpillar(g: Graph) -> bool:
     """Tree whose non-leaf vertices form a path."""
-    if not is_tree(g):
+    try:
+        caterpillar_profile(g)
+    except ValueError:
         return False
-    if g.n <= 3:
-        return True
-    interior = [v for v in range(g.n) if g.degree(v) >= 2]
-    if len(interior) <= 1:
-        return True
-    core, _ = induced_subgraph(g, interior)
-    return is_tree(core) and all(core.degree(v) <= 2 for v in range(core.n))
+    return True
 
 
 # ---------------------------------------------------------------------------
