@@ -212,12 +212,20 @@ def decide_caterpillar_k_colorable(g: Graph, k: int) -> Optional[tuple]:
 def caterpillar_chi_rho(g: Graph) -> int:
     """Exact packing chromatic number of a caterpillar forest.
 
-    A forest that is not packing MAX_PALETTE-colorable makes the decision
-    at MAX_PALETTE + 1 raise AssertionError.
+    Every component is profiled once, before any sweep, and swept at rising
+    palettes from the largest value found so far, so the value is the
+    maximum over components of their least sweeping palettes.  A
+    non-caterpillar component raises ValueError, and one that is not
+    packing MAX_PALETTE-colorable raises AssertionError.
     """
-    if g.n == 0:
-        return 0
-    k = 1
-    while decide_caterpillar_k_colorable(g, k) is None:
-        k += 1
-    return k
+    profiles = [caterpillar_component_profile(g.rows, comp)[0]
+                for comp in connected_components(g)]
+    value = 0
+    for counts in profiles:
+        value = max(value, 1)
+        while _sweep(counts, value) is None:
+            if value == MAX_PALETTE:
+                raise AssertionError("no packing %d-coloring of a caterpillar"
+                                     % MAX_PALETTE)
+            value += 1
+    return value

@@ -19,9 +19,11 @@ sweep (criticality_report, edge_drop_profile) starts each orbit's exact G-e
 or G-v walk from G's optimal witness restricted to the remaining vertices, a
 valid coloring since a deletion is a subgraph; the early-exit verdicts make
 one decision at chi(G) - 1 per orbit, up to the first that does not drop,
-except where the solver's neighborhood_lower_bound on the deletion already
-reaches chi(G) and proves it does not drop.  Each decision tries the colors
-of that restricted witness first.
+except where a search-free bound on the deletion already reaches chi(G) and
+proves it does not drop: the solver's neighborhood_lower_bound, or else its
+power bound (packing_lower_bound, which counts components, so G - v and
+bridge deletions are covered).  Each decision tries the colors of that
+restricted witness first.
 
 Deleting one edge can at most halve the value, in the precise sense
 chi(G) <= 2*chi(G-e) - 1, except in the degenerate situation where G-e is
@@ -44,6 +46,7 @@ from .graphs import (
 from .solver import (
     ChiRhoResult,
     PackingColoring,
+    _PowerSums,
     _search,
     _twin_groups,
     is_valid_packing_coloring,
@@ -211,10 +214,12 @@ def criticality_report(g: Graph, include_witnesses: bool = False,
 def _drops(h: Graph, kept, base: ChiRhoResult, deadline) -> bool:
     """chi(h) < chi(G) for a deletion h of G, given base, G's solve, and
     kept[new_id] the original vertex id: False where h's
-    neighborhood_lower_bound reaches chi(G), else one decision at
+    neighborhood_lower_bound or, asked next, its power bound
+    (solver.packing_lower_bound) reaches chi(G), else one decision at
     chi(G) - 1 guided by G's witness restricted through kept."""
     chi, colors = base.value, base.witness.colors
     return (neighborhood_lower_bound(h, deadline) < chi
+            and not _PowerSums(h, None, deadline).closes(chi)
             and _search(h, chi - 1, {}, deadline,
                         [colors[v] for v in kept])[0] is not None)
 

@@ -119,10 +119,17 @@ class Graph:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs shortest path distances; unreachable pairs hold INFINITY."""
+    """All-pairs shortest path distances; unreachable pairs hold INFINITY.
+
+    rings[v] holds the BFS levels of v as bitmasks: rings[v][d - 1] is the
+    set of vertices at distance exactly d from v, for d = 1 up to v's
+    largest finite distance, so len(rings[v]) is that distance and OR-ing
+    the first c levels gives the vertices within distance 1..c of v.
+    """
 
     n: int
     dist: tuple
+    rings: tuple
 
     def distance(self, u: int, v: int):
         return self.dist[u][v]
@@ -154,18 +161,21 @@ class MetricSummary:
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex; cached on the graph object."""
+    """BFS from every vertex, keeping each level's vertex mask as a ring;
+    cached on the graph object."""
     if g._dist is not None:
         return g._dist
     n = g.n
     rows = g.rows
     out = []
+    rings = []
     for s in range(n):
         d = [INFINITY] * n
         d[s] = 0
         seen = 1 << s
         frontier = 1 << s
         level = 0
+        levels = []
         while frontier:
             nxt = 0
             m = frontier
@@ -174,6 +184,9 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
                 nxt |= rows[v]
                 m &= m - 1
             nxt &= ~seen
+            if not nxt:
+                break
+            levels.append(nxt)
             level += 1
             m = nxt
             while m:
@@ -182,7 +195,8 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
             seen |= nxt
             frontier = nxt
         out.append(tuple(d))
-    dm = DistanceMatrix(n, tuple(out))
+        rings.append(tuple(levels))
+    dm = DistanceMatrix(n, tuple(out), tuple(rings))
     g._dist = dm
     return dm
 
@@ -317,6 +331,22 @@ def is_tree(g: Graph) -> bool:
 def independence_number(g: Graph, deadline=None):
     """Exact maximum independent set.  Returns (alpha, witness frozenset).
 
+    See max_independent_set, which this runs over all of g's vertices.
+    """
+    best, best_mask = max_independent_set(g.rows, None, deadline)
+    out = []
+    m = best_mask
+    while m:
+        out.append((m & -m).bit_length() - 1)
+        m &= m - 1
+    return best, frozenset(out)
+
+
+def max_independent_set(rows, avail=None, deadline=None):
+    """Exact maximum independent set of the graph with adjacency bitmask
+    rows, restricted to the vertices in the mask avail (every vertex when
+    None), without building a subgraph.  Returns (alpha, witness mask).
+
     Vertices of degree at most one always belong to some maximum independent
     set, so they are taken greedily before branching; forests therefore never
     branch at all.  What remains splits by connected component and branches
@@ -324,10 +354,8 @@ def independence_number(g: Graph, deadline=None):
     time.monotonic() value, is polled at each branch and raises SolveTimeout
     once it has passed.
     """
-    n = g.n
-    if n == 0:
-        return 0, frozenset()
-    rows = g.rows
+    if avail is None:
+        avail = (1 << len(rows)) - 1
     memo: dict = {}
 
     def solve(avail: int):
@@ -405,13 +433,7 @@ def independence_number(g: Graph, deadline=None):
         memo[orig] = result
         return result
 
-    best, best_mask = solve((1 << n) - 1)
-    out = []
-    m = best_mask
-    while m:
-        out.append((m & -m).bit_length() - 1)
-        m &= m - 1
-    return best, frozenset(out)
+    return solve(avail)
 
 
 def exists_alpha_set_avoiding(g: Graph, forbidden) -> bool:

@@ -21,19 +21,27 @@ palette among two constructed colorings (one maximum independent set colored
 order) and the caller's start coloring, if given, restricted to the
 component; the start wins ties.  That palette is witnessed already, so the
 downward walk starts one below it and stops at the first infeasible palette
-or at neighborhood_lower_bound, whichever comes first; each feasible search
-replaces the kept witness.  The bound counts colors inside closed
-neighbourhoods (every color >= 2 appears at most once in one, color 1 on an
-independent set), so where it meets the witnessed palette no unsatisfiable
-search is needed to prove optimality.  A component of diameter <= 2 counts
-colors the same way as a whole, so chi = n - alpha + 1 (Goddard et al.
-2008), the palette of the independent-set construction: the coloring in
-hand is optimal and no search runs.  Each search of the walk is hinted
-with the coloring in hand, one palette up.  A deadline reaches every search
-and the independence numbers behind the construction and the bound.  The
-search keeps its own stack, so no graph size meets Python's recursion
-limit.  Component witnesses are stitched back onto the original vertex ids.
-The solver keeps no memo of its own between calls.
+or at the first palette a bound closes; each feasible search replaces the
+kept witness.  Two search-free bounds are asked, in this order, before each
+search.  The power bound (packing_lower_bound) counts colors over the whole
+graph: color class c is independent in G^c, the graph joining vertices at
+distance 1..c, so a packing k-coloring needs sum_{c=1..k} alpha(G^c) >= n.
+alpha(G) comes from the construction, and from the largest finite distance
+on alpha(G^c) is the number of components, so at diameter <= 2 the bound is
+n - alpha + 1 (Goddard et al. 2008), the palette of the independent-set
+construction, and no later step runs.  Only when it does not close the
+palette is neighborhood_lower_bound computed, once per component: it
+counts colors inside closed neighbourhoods (every color >= 2 appears at
+most once in one, color 1 on an independent set).  Where either bound
+meets the witnessed palette no unsatisfiable search is needed to prove
+optimality.  Each search of the walk is hinted with the coloring in hand,
+one palette up.  The conflict table of a search and the greedy
+construction are built from the BFS rings of the cached distance matrix.
+A deadline reaches every search and the independence numbers behind the
+construction and both bounds.  The search keeps its own stack, so no graph
+size meets Python's recursion limit.  Component witnesses are stitched
+back onto the original vertex ids.  The solver keeps no memo of its own
+between calls.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from .graphs import (
     connected_components,
     independence_number,
     induced_subgraph,
+    max_independent_set,
 )
 
 
@@ -152,7 +161,7 @@ def _search(g: Graph, k: int, allowed, deadline, hint=None):
         return (), 0
     if k <= 0:
         return None, 0
-    dist = all_pairs_distances(g).dist
+    rings = all_pairs_distances(g).rings
 
     full = (1 << k) - 1
     domains = [full] * n
@@ -165,15 +174,13 @@ def _search(g: Graph, k: int, allowed, deadline, hint=None):
             domains[v] &= ~1
 
     # conflict[v][c]: vertices that cannot share color c with v, i.e. the
-    # vertices at distance 1..c, as prefix ORs of the distance classes
+    # vertices at distance 1..c, as prefix ORs of v's BFS rings
     conflict = []
-    for row in dist:
-        acc = [0] * (k + 1)
-        for u, d in enumerate(row):
-            if 0 < d <= k:
-                acc[d] |= 1 << u
-        for c in range(2, k + 1):
-            acc[c] |= acc[c - 1]
+    for ring in rings:
+        acc = [0]
+        for level in ring[:k]:
+            acc.append(acc[-1] | level)
+        acc += [acc[-1]] * (k + 1 - len(acc))
         conflict.append(acc)
 
     groups = _twin_groups(g)
@@ -275,21 +282,137 @@ def decide_packing_k_colorable(g: Graph, k: int, pinned=None, deadline=None):
 
 
 def _construction(g: Graph, deadline):
-    """Colors of the better of two search-free packing colorings: a maximum
-    independent set colored 1 and every other vertex its own color, or the
-    least-legal-color greedy in label order."""
-    dist = all_pairs_distances(g).dist
-    greedy = [0] * g.n
-    for v in range(g.n):
-        row = dist[v]
-        c = 1
-        while any(greedy[u] == c and row[u] <= c for u in range(v)):
+    """(colors, alpha(G)): the colors of the better of two search-free
+    packing colorings, a maximum independent set colored 1 and every other
+    vertex its own color, or the least-legal-color greedy in label order."""
+    greedy = []
+    # classes[c]: the vertices the greedy has colored c so far
+    classes = [0]
+    for ring in all_pairs_distances(g).rings:
+        # within grows to the vertices at distance 1..c as c rises
+        c = within = 0
+        while True:
             c += 1
-        greedy[v] = c
-    alpha_set = independence_number(g, deadline)[1]
+            if c == len(classes):
+                classes.append(0)
+            if c <= len(ring):
+                within |= ring[c - 1]
+            if not classes[c] & within:
+                break
+        classes[c] |= 1 << len(greedy)
+        greedy.append(c)
+    alpha, alpha_set = independence_number(g, deadline)
     fresh = iter(range(2, g.n + 2))
     spread = tuple(1 if v in alpha_set else next(fresh) for v in range(g.n))
-    return min(spread, tuple(greedy), key=max)
+    return min(spread, tuple(greedy), key=max), alpha
+
+
+def _greedy_independent(rows) -> int:
+    """Size of an independent set of the graph with adjacency bitmask rows,
+    picked greedily by least degree among the vertices still free; the
+    first free vertex of degree <= 1 is taken at once, as no pick beats
+    it."""
+    avail = (1 << len(rows)) - 1
+    size = 0
+    while avail:
+        best, bd = -1, len(rows)
+        m = avail
+        while m:
+            bit = m & -m
+            m ^= bit
+            v = bit.bit_length() - 1
+            d = (rows[v] & avail).bit_count()
+            if d < bd:
+                best, bd = v, d
+                if d <= 1:
+                    break
+        avail &= ~(rows[best] | 1 << best)
+        size += 1
+    return size
+
+
+class _PowerSums:
+    """The power bound's incremental test for one graph: closes(k) answers
+    whether sum_{c=1..k-1} alpha(G^c) < n, which rules out every packing
+    (k-1)-coloring (see packing_lower_bound).
+
+    Each term is rho_c = alpha(G^c).  rho_1 is alpha(G), passed in when the
+    caller has it.  From the largest finite distance t on, rho_c is the
+    number of components.  Below t the rows of G^c are prefix ORs of the
+    BFS rings, built up to the largest power asked for; a greedy
+    independent set gives a lower bound on rho_c, and the exact alpha runs
+    only while the sum of the lower bounds is still below n.  Every value is
+    kept, so later questions about smaller palettes cost only the sum.
+    deadline is passed on to every exact alpha.
+    """
+
+    def __init__(self, g: Graph, alpha, deadline):
+        self.g = g
+        self.rings = all_pairs_distances(g).rings
+        self.top = max(map(len, self.rings), default=0)
+        self.powers = [g.rows]
+        self.exact = {} if alpha is None else {1: alpha}
+        self.lower = {}
+        self.components = None
+        self.deadline = deadline
+
+    def _power(self, c):
+        """Adjacency rows of G^c."""
+        powers = self.powers
+        while len(powers) < c:
+            d = len(powers)
+            powers.append(tuple(row | ring[d] if d < len(ring) else row
+                                for row, ring in zip(powers[-1], self.rings)))
+        return powers[c - 1]
+
+    def closes(self, k) -> bool:
+        n = self.g.n
+        total = 0
+        guessed = []
+        for c in range(1, k):
+            if c >= self.top:
+                if self.components is None:
+                    self.components = len(connected_components(self.g))
+                total += self.components * (k - c)
+                break
+            rho = self.exact.get(c)
+            if rho is None:
+                rho = self.lower.get(c)
+                if rho is None:
+                    rho = self.lower[c] = _greedy_independent(self._power(c))
+                guessed.append(c)
+            total += rho
+        for c in guessed:
+            if total >= n:
+                return False
+            rho = self.exact[c] = max_independent_set(
+                self._power(c), None, self.deadline)[0]
+            total += rho - self.lower[c]
+        return total < n
+
+
+def packing_lower_bound(g: Graph, deadline=None) -> int:
+    """A search-free lower bound on chi-rho: the least k with
+    sum_{c=1..k} alpha(G^c) >= n, where G^c joins the vertices at
+    distance 1..c; 0 for K0.
+
+    Color class c of a packing coloring is a set of vertices pairwise more
+    than c apart, an independent set of G^c, so a packing k-coloring covers
+    at most sum_{c=1..k} alpha(G^c) vertices.  Once c reaches the largest
+    finite distance of g, each component is a clique of G^c, so alpha(G^c)
+    is the number of components; the bound counts that, not one vertex per
+    color, and so holds for disconnected graphs such as G - v or a bridge
+    deletion.  At diameter <= 2 it is the closed form n - alpha + 1
+    (Goddard et al. 2008).  deadline is passed on to every independence
+    number.
+    """
+    if g.n == 0:
+        return 0
+    sums = _PowerSums(g, None, deadline)
+    k = 1
+    while sums.closes(k + 1):
+        k += 1
+    return k
 
 
 def neighborhood_lower_bound(g: Graph, deadline=None) -> int:
@@ -318,10 +441,9 @@ def neighborhood_lower_bound(g: Graph, deadline=None) -> int:
         nbhd = rows[v]
         if nbhd.bit_count() + 1 <= best:
             break
-        nbrs = g.neighbors(v)
-        if not any(rows[u] & nbhd for u in nbrs):
+        if not any(rows[u] & nbhd for u in g.neighbors(v)):
             continue
-        alpha = independence_number(induced_subgraph(g, nbrs)[0], deadline)[0]
+        alpha = max_independent_set(rows, nbhd, deadline)[0]
         best = max(best, nbhd.bit_count() + 2 - alpha)
     return best
 
@@ -329,25 +451,22 @@ def neighborhood_lower_bound(g: Graph, deadline=None) -> int:
 def _component_value(g: Graph, start, deadline):
     """Chi-rho of a connected (or empty) graph: (value, colors, nodes),
     walking down from the better of the construction and start (or None;
-    start wins ties) to the first infeasible palette or to
-    neighborhood_lower_bound; at diameter <= 2 there is no walk."""
+    start wins ties) to the first infeasible palette or to the first
+    palette that the power bound or neighborhood_lower_bound closes."""
     if g.n == 0:
         return 0, (), 0
-    colors = _construction(g, deadline)
+    colors, alpha = _construction(g, deadline)
     if start is not None and max(start) <= max(colors):
         colors = start
     k = max(colors)
-    # at diameter <= 2 the coloring in hand is optimal: every color >= 2 is
-    # used at most once and color 1 on an independent set, so chi is at
-    # least n - alpha + 1, the palette of the spread construction; this
-    # covers every palette <= 2, since a connected graph with a packing
-    # 2-coloring is a star
-    if max(map(max, all_pairs_distances(g).dist)) <= 2:
-        floor = k
-    else:
-        floor = neighborhood_lower_bound(g, deadline)
+    sums = _PowerSums(g, alpha, deadline)
+    floor = None
     nodes = 0
-    while k > floor:
+    while not sums.closes(k):
+        if floor is None:
+            floor = neighborhood_lower_bound(g, deadline)
+        if k <= floor:
+            break
         # the coloring in hand guides the search one palette down
         found, extra = _search(g, k - 1, {}, deadline, colors)
         nodes += extra

@@ -122,6 +122,8 @@ class TestDecide:
                   SPIDER):
             with pytest.raises(ValueError):
                 decide_caterpillar_k_colorable(g, k)
+            with pytest.raises(ValueError):
+                caterpillar_chi_rho(g)
 
     def test_witness_is_valid(self):
         g = comb(6, 2)

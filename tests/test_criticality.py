@@ -132,11 +132,11 @@ class TestReports:
 
     def test_nodes_counted(self):
         # K4, K4 - e and K3 all meet the neighbourhood bound at their
-        # constructed palettes; C7 has diameter 3 and its walk must prove
-        # 3 colors infeasible
+        # constructed palettes; C9's power bound stops at 3 (4 + 3 + 2 = 9
+        # vertices fit), so its walk must prove 3 colors infeasible
         assert criticality_report(complete(4)).nodes == 0
-        rep = criticality_report(cycle(7))
-        assert rep.nodes >= packing_chromatic_number(cycle(7)).node_count > 0
+        rep = criticality_report(cycle(9))
+        assert rep.nodes >= packing_chromatic_number(cycle(9)).node_count > 0
 
     def test_fast_paths_agree_with_report(self):
         # dual route: the early-exit predicates vs the full per-deletion

@@ -23,6 +23,7 @@ from packcrit import (
     metric_summary,
     support_vertices,
 )
+from packcrit.corpus import load_corpus
 
 
 def path(n):
@@ -123,6 +124,19 @@ class TestDistances:
             assert d.distance(u, u) == 0
             for v in range(6):
                 assert d.distance(u, v) == d.distance(v, u)
+
+    def test_rings_are_distance_classes(self):
+        # rings[v][d - 1] = {u : dist(v, u) = d}, up to v's largest finite
+        # distance; unreachable vertices sit in no ring
+        for g in list(load_corpus("connected-le7")) + [
+                Graph.from_edges(5, [(0, 1), (2, 3)])]:
+            d = all_pairs_distances(g)
+            for v in range(g.n):
+                finite = [x for x in d.dist[v] if x != INFINITY]
+                assert len(d.rings[v]) == max(finite)
+                for level, ring in enumerate(d.rings[v], 1):
+                    assert ring == sum(1 << u for u in range(g.n)
+                                       if d.dist[v][u] == level)
 
     def test_cycle_eccentricities(self):
         d = all_pairs_distances(cycle(5))

@@ -26,6 +26,7 @@ from packcrit import (
     is_vertex_critical,
     neighborhood_lower_bound,
     packing_chromatic_number,
+    packing_lower_bound,
     parse_graph6,
     repair_coloring,
 )
@@ -122,6 +123,7 @@ class TestSolverInvariants:
     def test_neighborhood_bound_below_oracle(self, g):
         # graphs() draws disconnected and edgeless graphs as well
         assert neighborhood_lower_bound(g) <= brute_force_chi_rho(g)
+        assert packing_lower_bound(g) <= brute_force_chi_rho(g)
 
     @SETTINGS
     @given(graphs(), st.integers(min_value=1, max_value=5),

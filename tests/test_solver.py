@@ -17,6 +17,7 @@ from packcrit import (
     is_valid_packing_coloring,
     neighborhood_lower_bound,
     packing_chromatic_number,
+    packing_lower_bound,
 )
 from packcrit.corpus import all_graphs, connected_graphs, load_corpus
 from packcrit.solver import _search
@@ -174,8 +175,10 @@ class TestValues:
             packing_chromatic_number(cycle(5), start=start)
 
     def test_node_count_reported(self):
-        # diameter 3, so the walk must search (C5's diameter 2 needs none)
-        res = packing_chromatic_number(cycle(7))
+        # C9 has chi 4, but alpha over C9, its square and its cube sums to
+        # 4 + 3 + 2 = 9 = n, so the power bound stops at 3 and the walk must
+        # search (C7's sum 3 + 2 + 1 = 6 < 7 proves 4 with no search)
+        res = packing_chromatic_number(cycle(9))
         assert res.node_count > 0
 
     def test_long_cycle_within_recursion_limit(self):
@@ -229,6 +232,36 @@ class TestNeighborhoodBound:
     def test_below_oracle_exhaustive(self):
         for g in all_graphs(6):
             assert neighborhood_lower_bound(g) <= brute_force_chi_rho(g)
+            assert packing_lower_bound(g) <= brute_force_chi_rho(g)
+
+
+class TestPowerBound:
+    def test_diameter_two_closed_form(self):
+        # alpha(G^c) = 1 for every c >= 2, so the bound is n - alpha + 1
+        for g in load_corpus("connected-le7-diam2"):
+            assert packing_lower_bound(g) == g.n - independence_number(g)[0] + 1
+
+    def test_disconnected_counts_components(self):
+        # two disjoint 3-paths: alpha = 4 and alpha(G^c) = 2 for c >= 2, so
+        # 4 + 2 >= 6 gives 2 = chi; one vertex per color would give 3
+        g = disjoint_union(path(3), path(3))
+        assert packing_lower_bound(g) == 2 == packing_chromatic_number(g).value
+        assert packing_lower_bound(Graph.empty(0)) == 0
+        assert packing_lower_bound(Graph.empty(4)) == 1
+
+    def test_cycles(self):
+        # C7: 3 + 2 + 1 < 7 closes palette 3; C9: 4 + 3 + 2 = 9 does not
+        assert packing_lower_bound(cycle(7)) == 4
+        assert packing_lower_bound(cycle(9)) == 3
+
+    def test_expired_deadline_raises_from_power_alpha(self):
+        # alpha of a path takes leaves and never branches, but alpha of its
+        # square must branch, and the greedy sums 10 + 7 < 20 cannot decide
+        expired = time.monotonic() - 1.0
+        assert independence_number(path(20), deadline=expired)[0] == 10
+        with pytest.raises(SolveTimeout):
+            packing_lower_bound(path(20), deadline=expired)
+        assert packing_lower_bound(path(20)) == 3
 
 
 class TestDecide:
