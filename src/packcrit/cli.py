@@ -9,17 +9,18 @@ from the parsed graph, the parsed options and a per-graph deadline.
 `_solve_task` adds `graph6` and `status` to it.  With `--jobs` above 1
 the graphs go to a process pool eight at a time through `Pool.imap`, so a
 free worker always takes the next batch while rows still come back in
-input order.  `gen` looks the family up in one table of parameter counts
-and generators.
+input order; the pool has at most one worker per batch, and an input of
+one batch is solved in process.  `gen` looks the family up in one table
+of parameter counts and generators.
 
 Exit codes: 0 success (and, for verify, zero disagreements and zero errors),
 1 verification disagreement or a graph whose check raised, 2 usage error,
 3 graph6 parse error (including non-ASCII input).  A graph that raises
 becomes a row with status "error" and the exception in "error", and one
 that runs out of time a row with status "timeout"; the other graphs of the
-batch still run.  `--timeout` takes a finite positive number of seconds;
-any other value is a usage error.  Output is deterministic for fixed
-inputs except the timing field.
+batch still run.  `--timeout` takes a finite positive number of seconds
+and `--jobs` a whole number of at least 1; any other value is a usage
+error.  Output is deterministic for fixed inputs except the timing field.
 """
 
 from __future__ import annotations
@@ -198,9 +199,11 @@ def _run(args, parser):
     lines, digest = _gather_input(args, parser)
     started = time.monotonic()
     tasks = [(s, args) for s in lines]
-    if args.jobs <= 1 or len(tasks) <= 1:
+    # a worker beyond one per batch would get nothing to do
+    workers = min(args.jobs, -(-len(tasks) // _CHUNK))
+    if workers <= 1:
         return [_solve_task(t) for t in tasks], digest, started
-    with Pool(processes=args.jobs) as pool:
+    with Pool(processes=workers) as pool:
         return list(pool.imap(_solve_task, tasks, _CHUNK)), digest, started
 
 
@@ -334,11 +337,24 @@ def _timeout_seconds(text):
     return seconds
 
 
+def _jobs(text):
+    """--jobs's type: a whole number of worker processes, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            "must be a whole number of at least 1, got %r" % text)
+    return jobs
+
+
 def _add_common(sub):
     sub.add_argument("--corpus", help="builtin corpus name (builtin:NAME or NAME)")
     sub.add_argument("--input", help="file of graph6 lines; default stdin")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker processes for corpus runs")
+    sub.add_argument("--jobs", type=_jobs, default=1,
+                     help="worker processes for corpus runs, at most one "
+                          "per batch of eight graphs")
     sub.add_argument("--timeout", type=_timeout_seconds, default=None,
                      help="per-graph solve timeout in seconds")
     sub.add_argument("--format", choices=("json", "tsv"), default="json")

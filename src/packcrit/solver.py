@@ -2,10 +2,18 @@
 
 A coloring assigns positive integer colors; any two vertices sharing color c
 must be at distance greater than c.  The decision procedure is a depth-first
-search with forward checking over per-vertex color domains, plus a symmetry
+search with forward checking (Haralick & Elliott 1980), plus a symmetry
 break: twins, vertices whose neighbourhoods agree away from each other, are
 forced into non-decreasing color order, which is safe because swapping colors
-between two twins preserves every distance constraint.  Vertices go in a
+between two twins preserves every distance constraint.  The domains are held
+color-major, one vertex mask per color: the mask of color c is the set of
+vertices that may still take c.  Entering a vertex reads its domain and the
+set of vertices with two or more colors left (twos) in one pass over the
+masks; trying color c there intersects the ball of radius c around it with
+the unassigned vertices and the mask of c, and fails exactly when a vertex
+of that intersection is outside twos, that is, would lose its last color.
+A trial that succeeds clears those vertices from the mask of c, and going
+back restores that one mask.  Vertices go in a
 static order; each tries a hint color first, when the caller holds a packing
 coloring of the same graph, and then the rest of its domain in ascending
 order.  The subtree below a value does not depend on which sibling values
@@ -88,12 +96,18 @@ class ChiRhoResult:
     node_count: int
 
 
+def _is_color(c) -> bool:
+    """Colors are ints >= 1; a bool is not a color."""
+    return type(c) is int and c >= 1
+
+
 def is_valid_packing_coloring(g: Graph, coloring) -> bool:
-    """Every vertex colored >= 1 and every same-colored pair far enough apart."""
+    """Every vertex colored with an integer >= 1 and every same-colored pair
+    far enough apart."""
     colors = coloring.colors if isinstance(coloring, PackingColoring) else tuple(coloring)
     if len(colors) != g.n:
         return False
-    if any(c < 1 for c in colors):
+    if not all(map(_is_color, colors)):
         return False
     dist = all_pairs_distances(g).dist
     for u in range(g.n):
@@ -147,12 +161,37 @@ def _search(g: Graph, k: int, allowed, deadline, hint=None):
     changes the nodes of an infeasible search, only how soon a feasible one
     ends.
 
+    The domains are color-major: avail[c - 1] is the set of vertices whose
+    domain still holds color c, so vertex u's domain is the colors c with u
+    in avail[c - 1].  Every mask starts as all vertices; the restricted
+    vertices lose the colors outside their allowed bits, and the color-1
+    cut below clears vertices from avail[0].  Entering depth i at vertex v
+    reads v's domain and twos, the vertices in at least two masks, in one
+    pass over the k masks.  A trial of color c at v forward-checks
+    hit = conflict[v][c] & unassigned & avail[c - 1], the unassigned
+    vertices within distance c of v that still hold c.  It fails iff
+    hit & ~twos is non-zero; otherwise avail[c - 1] loses hit, and the
+    depth keeps (c, the mask before) to restore it on the way back.
+
+    This is the per-vertex forward check, decision for decision.  That
+    check removes c from every unassigned u within distance c of v whose
+    domain holds c, that is from every u in hit, and fails iff one of them
+    had c as its only color.  A u in hit holds c, so its domain is exactly
+    {c} iff it holds no second color, iff u is not in twos.  twos is read
+    from the masks as they stand on entering the depth, and they stand so
+    at every trial there: a failing trial changes nothing, and a succeeding
+    one is undone before the next trial at that depth.  So both checks fail
+    on the same trials and leave the same domains after the others, and the
+    nodes and the coloring found are those of forward checking over
+    per-vertex domains (tests/test_solver.py keeps that kernel as the
+    reference).
+
     Color 1 starts out of the domain of every vertex of degree >= k.  If v
     had color 1, its neighbours could not (they are at distance 1), and they
     are pairwise within distance 2 through v, so no two of them share a
     color c >= 2: they would need deg(v) distinct colors from 2..k.  That
     holds in every packing k-coloring, so the cut is sound together with
-    the masks, the twin break and the hint.
+    the allowed bits, the twin break and the hint.
     """
     if deadline is not None and time.monotonic() > deadline:
         raise SolveTimeout("deadline expired before search started")
@@ -163,15 +202,18 @@ def _search(g: Graph, k: int, allowed, deadline, hint=None):
         return None, 0
     rings = all_pairs_distances(g).rings
 
-    full = (1 << k) - 1
-    domains = [full] * n
+    everyone = (1 << n) - 1
+    # avail[c - 1]: the vertices whose domain still holds color c
+    avail = [everyone] * k
     # a hint color above k has its bit outside every domain, so it is ignored
     hint_bit = [0] * n if hint is None else [1 << (c - 1) for c in hint]
     for v, mask in allowed.items():
-        domains[v] = mask & full
+        for c in range(k):
+            if not mask >> c & 1:
+                avail[c] &= ~(1 << v)
     for v, row in enumerate(g.rows):
         if row.bit_count() >= k:
-            domains[v] &= ~1
+            avail[0] &= ~(1 << v)
 
     # conflict[v][c]: vertices that cannot share color c with v, i.e. the
     # vertices at distance 1..c, as prefix ORs of v's BFS rings
@@ -199,12 +241,16 @@ def _search(g: Graph, k: int, allowed, deadline, hint=None):
     order = sorted(restricted) + [v for ms in ordered_groups for v in ms]
 
     # depth-first over order with an explicit stack: untried[i] holds the
-    # colors not yet tried at depth i and trail[i] the domain changes made by
-    # the color on trial there, so no graph size meets the recursion limit
+    # colors not yet tried at depth i, twos_at[i] the vertices that had two
+    # or more colors left when depth i was entered, and trail_c[i] and
+    # trail_mask[i] the index c - 1 of the color on trial there and its mask
+    # before the trial, so no graph size meets the recursion limit
     colors = [0] * n
     untried = [0] * n
-    trail = [()] * n
-    unassigned = (1 << n) - 1
+    twos_at = [0] * n
+    trail_c = [0] * n
+    trail_mask = [0] * n
+    unassigned = everyone
     nodes = 0
     idx = 0
     while True:
@@ -212,19 +258,28 @@ def _search(g: Graph, k: int, allowed, deadline, hint=None):
             return tuple(colors), nodes
         v = order[idx]
         if colors[v] == 0:
-            # first visit at this depth
-            dom = domains[v]
+            # first visit at this depth: v's domain and twos in one pass
+            # over the masks
+            bit = 1 << v
+            dom = ones = twos = 0
+            cb = 1
+            for a in avail:
+                if a & bit:
+                    dom |= cb
+                cb <<= 1
+                twos |= ones & a
+                ones |= a
             pred = twin_pred[v]
             if pred is not None:
                 # twins take colors in non-decreasing id order
                 dom &= ~((1 << (colors[pred] - 1)) - 1)
-            unassigned &= ~(1 << v)
+            unassigned &= ~bit
             m = dom
         else:
             # back from a subtree that failed: undo the color on trial
-            for u, du in trail[idx]:
-                domains[u] = du
+            avail[trail_c[idx]] = trail_mask[idx]
             m = untried[idx]
+            twos = twos_at[idx]
         conflict_v = conflict[v]
         hb = hint_bit[v]
         while m:
@@ -235,26 +290,10 @@ def _search(g: Graph, k: int, allowed, deadline, hint=None):
             if deadline is not None and not nodes & 1023:
                 if time.monotonic() > deadline:
                     raise SolveTimeout("packing coloring search timed out")
-            colors[v] = c
-            changes = []
-            ok = True
-            um = conflict_v[c] & unassigned
-            while um:
-                ul = um & -um
-                um ^= ul
-                u = ul.bit_length() - 1
-                du = domains[u]
-                if du & low:
-                    # low is color c's bit; du == low leaves u no color
-                    domains[u] = du ^ low
-                    changes.append((u, du))
-                    if du == low:
-                        ok = False
-                        break
-            if ok:
+            mask = avail[c - 1]
+            hit = conflict_v[c] & unassigned & mask
+            if not hit & ~twos:
                 break
-            for u, du in changes:
-                domains[u] = du
         else:
             # every color failed here: backtrack
             colors[v] = 0
@@ -263,19 +302,23 @@ def _search(g: Graph, k: int, allowed, deadline, hint=None):
                 return None, nodes
             idx -= 1
             continue
-        untried[idx], trail[idx] = m, changes
+        colors[v] = c
+        avail[c - 1] = mask ^ hit
+        untried[idx], twos_at[idx] = m, twos
+        trail_c[idx], trail_mask[idx] = c - 1, mask
         idx += 1
 
 
 def decide_packing_k_colorable(g: Graph, k: int, pinned=None, deadline=None):
-    """Color tuple using colors 1..k honoring pins, or None if impossible."""
-    if k < 0:
-        raise ValueError("palette size must be nonnegative")
+    """Color tuple using colors 1..k honoring pins, or None if impossible.
+    k, the pinned vertices and their colors must be integers (not bools)."""
+    if not (type(k) is int and k >= 0):
+        raise ValueError("palette size %r is not a nonnegative integer" % (k,))
     pinned = dict(pinned or {})
     for v, c in pinned.items():
-        if not 0 <= v < g.n:
+        if not (type(v) is int and 0 <= v < g.n):
             raise ValueError("pinned vertex %r outside graph" % (v,))
-        if not 1 <= c <= k:
+        if not (_is_color(c) and c <= k):
             raise ValueError("pinned color %r outside 1..%d" % (c, k))
     return _search(g, k, {v: 1 << (c - 1) for v, c in pinned.items()},
                    deadline)[0]
@@ -481,7 +524,8 @@ def packing_chromatic_number(g: Graph, start=None, deadline=None) -> ChiRhoResul
 
     start, when given, is a packing coloring of g, one color per vertex; the
     walk begins below its palette when that beats the construction.  A start
-    that is not a packing coloring of g raises ValueError.
+    that is not a packing coloring of g, one with a color that is not an
+    int >= 1 included, raises ValueError.
     """
     if start is not None:
         start = tuple(start)

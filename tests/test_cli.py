@@ -94,6 +94,45 @@ class TestChirho:
         assert exc.value.code == 2
         assert "finite positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-3", "1.5", "two"])
+    def test_jobs_must_be_at_least_one(self, capsys, monkeypatch, value):
+        monkeypatch.setattr("sys.stdin", io.StringIO(C7))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["chirho", "--jobs", value])
+        assert exc.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+
+    def test_jobs_capped_at_one_worker_per_batch(self, capsys, monkeypatch):
+        # a stand-in pool records the processes asked for and maps in process
+        started = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "Pool", RecordingPool)
+        _, serial = run_json(capsys, ["chirho", "--corpus", "connected-le5"])
+        # 31 graphs make four batches of at most eight
+        for jobs, want in (("64", 4), ("4", 4), ("2", 2)):
+            _, rep = run_json(capsys, ["chirho", "--corpus", "connected-le5",
+                                       "--jobs", jobs])
+            assert started.pop() == want
+            assert rep["results"] == serial["results"]
+        # one batch is solved in process, with no pool
+        monkeypatch.setattr("sys.stdin", io.StringIO(C7 + "\nA_\n"))
+        code, rep = run_json(capsys, ["chirho", "--jobs", "64"])
+        assert code == 0 and len(rep["results"]) == 2
+        assert started == []
+
     def test_parse_error_exit_3(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("not-a-graph\n"))
         with pytest.raises(SystemExit) as exc:

@@ -10,17 +10,20 @@ from packcrit import (
     all_pairs_distances,
     brute_force_chi_rho,
     decide_packing_k_colorable,
+    delete_edge,
     disjoint_union,
     gen_basic,
     gen_realization,
+    gen_sharpness_family,
     independence_number,
     is_valid_packing_coloring,
     neighborhood_lower_bound,
     packing_chromatic_number,
     packing_lower_bound,
+    parse_graph6,
 )
 from packcrit.corpus import all_graphs, connected_graphs, load_corpus
-from packcrit.solver import _search
+from packcrit.solver import _search, _twin_groups
 
 
 def assert_optimal_witness(g, res):
@@ -61,6 +64,103 @@ def plain_colorable(g, k, masks):
     return extend(0)
 
 
+def vertex_major_search(g, k, allowed, hint=None):
+    """Forward checking over per-vertex domains: one color mask per vertex
+    and a loop over the conflicting vertices at every trial, with _search's
+    order, twin break, color-1 cut and hint order but no deadline.  The
+    reference for _search's colorings and node counts."""
+    n = g.n
+    if n == 0:
+        return (), 0
+    if k <= 0:
+        return None, 0
+    rings = all_pairs_distances(g).rings
+    full = (1 << k) - 1
+    domains = [full] * n
+    hint_bit = [0] * n if hint is None else [1 << (c - 1) for c in hint]
+    for v, mask in allowed.items():
+        domains[v] = mask & full
+    for v, row in enumerate(g.rows):
+        if row.bit_count() >= k:
+            domains[v] &= ~1
+    conflict = []
+    for ring in rings:
+        acc = [0]
+        for level in ring[:k]:
+            acc.append(acc[-1] | level)
+        acc += [acc[-1]] * (k + 1 - len(acc))
+        conflict.append(acc)
+    restricted = set(allowed)
+    twin_pred = [None] * n
+    ordered_groups = []
+    for grp in _twin_groups(g):
+        members = [v for v in grp if v not in restricted]
+        if not members:
+            continue
+        if not (set(grp) & restricted):
+            for a, b in zip(members, members[1:]):
+                twin_pred[b] = a
+        ordered_groups.append(members)
+    ordered_groups.sort(key=lambda ms: (-g.degree(ms[0]), ms[0]))
+    order = sorted(restricted) + [v for ms in ordered_groups for v in ms]
+    colors = [0] * n
+    untried = [0] * n
+    trail = [()] * n
+    unassigned = (1 << n) - 1
+    nodes = 0
+    idx = 0
+    while True:
+        if idx == n:
+            return tuple(colors), nodes
+        v = order[idx]
+        if colors[v] == 0:
+            dom = domains[v]
+            pred = twin_pred[v]
+            if pred is not None:
+                dom &= ~((1 << (colors[pred] - 1)) - 1)
+            unassigned &= ~(1 << v)
+            m = dom
+        else:
+            for u, du in trail[idx]:
+                domains[u] = du
+            m = untried[idx]
+        conflict_v = conflict[v]
+        hb = hint_bit[v]
+        while m:
+            low = m & hb or m & -m
+            m ^= low
+            c = low.bit_length()
+            nodes += 1
+            colors[v] = c
+            changes = []
+            ok = True
+            um = conflict_v[c] & unassigned
+            while um:
+                ul = um & -um
+                um ^= ul
+                u = ul.bit_length() - 1
+                du = domains[u]
+                if du & low:
+                    domains[u] = du ^ low
+                    changes.append((u, du))
+                    if du == low:
+                        ok = False
+                        break
+            if ok:
+                break
+            for u, du in changes:
+                domains[u] = du
+        else:
+            colors[v] = 0
+            unassigned |= 1 << v
+            if idx == 0:
+                return None, nodes
+            idx -= 1
+            continue
+        untried[idx], trail[idx] = m, changes
+        idx += 1
+
+
 def relabel(g, perm):
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
@@ -79,6 +179,22 @@ class TestValidity:
 
     def test_rejects_nonpositive(self):
         assert not is_valid_packing_coloring(path(2), (0, 1))
+
+    def test_rejects_non_integer_colors(self):
+        # 3.5 differs from 3, so only the type makes this coloring invalid
+        dqg = parse_graph6("Dqg")
+        assert is_valid_packing_coloring(dqg, (1, 2, 3, 1, 4))
+        assert not is_valid_packing_coloring(dqg, (1, 2, 3, 1, 3.5))
+        assert not is_valid_packing_coloring(path(2), (1.5, 2))
+        assert not is_valid_packing_coloring(path(2), (True, 2))
+        assert not is_valid_packing_coloring(path(2), (1.0, 2))
+
+    def test_start_with_non_integer_colors_raises(self):
+        dqg = parse_graph6("Dqg")
+        for g, start in ((path(2), [1.5, 2]), (path(2), [True, 2]),
+                         (dqg, [1, 2, 3, 1, 3.5])):
+            with pytest.raises(ValueError):
+                packing_chromatic_number(g, start=start)
 
     def test_rejects_wrong_length(self):
         assert not is_valid_packing_coloring(path(3), (1, 2))
@@ -290,6 +406,12 @@ class TestDecide:
             decide_packing_k_colorable(path(2), 2, pinned={0: 3})
         with pytest.raises(ValueError):
             decide_packing_k_colorable(path(2), 2, pinned={5: 1})
+        for pins in ({0: 1.5}, {0: True}, {0: 2.0}, {0.0: 1}, {False: 1}):
+            with pytest.raises(ValueError):
+                decide_packing_k_colorable(path(2), 2, pinned=pins)
+        for k in (-1, 2.5, 2.0, True):
+            with pytest.raises(ValueError):
+                decide_packing_k_colorable(path(2), k)
 
     def test_search_matches_oracle_exhaustive(self):
         # every palette of every graph on up to 6 vertices, without masks
@@ -312,6 +434,43 @@ class TestDecide:
                         assert max(found) <= k
                         assert all(m >> (found[v] - 1) & 1
                                    for v, m in masks.items())
+
+    def test_kernel_matches_vertex_major_reference(self):
+        # same colors and same nodes as the per-vertex-domain kernel: every
+        # palette 0..n+1 of every graph on up to 6 vertices, then masks on
+        # two vertices and random hints, then the proven-value families
+        # (G and G - e) at chi and chi - 1
+        def same(g, k, masks, hint=None):
+            got = _search(g, k, masks, None, hint)
+            assert got == vertex_major_search(g, k, masks, hint), \
+                (g, k, masks, hint)
+
+        rng = random.Random(18)
+        for g in all_graphs(6):
+            for k in range(g.n + 2):
+                same(g, k, {})
+                if g.n >= 2 and k:
+                    u, v = rng.sample(range(g.n), 2)
+                    masks = {u: rng.randrange(1 << k), v: rng.randrange(1 << k)}
+                    hint = [rng.randint(1, k + 1) for _ in range(g.n)]
+                    same(g, k, masks)
+                    same(g, k, {}, hint)
+                    same(g, k, masks, hint)
+        family = []
+        for k in range(3, 8):
+            for n in range((k + 2) // 2, k + 1):
+                lab = gen_realization(k, n)
+                family.append((lab.graph, k))
+                family.append((delete_edge(lab.graph, tuple(lab.labels["e"])), n))
+        for n in range(2, 5):
+            lab = gen_sharpness_family(n)
+            family.append((lab.graph, 2 * n - 1))
+            family.append((delete_edge(lab.graph, tuple(lab.labels["bridge"])), n))
+        for g, chi in family:
+            witness = packing_chromatic_number(g).witness.colors
+            for k in (chi, chi - 1):
+                same(g, k, {})
+                same(g, k, {}, witness)
 
     def test_twin_break_keeps_satisfiable_pins(self):
         # two leaves on the same support are twins; pinning one of them to a
