@@ -15,7 +15,6 @@ from .criticality import (
     _critical_given_chi,
     _detour_colorable,
     _drops,
-    _stretched_pairs,
     edge_drop_profile,
     is_edge_critical,
 )
@@ -159,11 +158,12 @@ def check_diam2_characterization(g: Graph, deadline=None) -> TheoremVerdict:
         if independence_number(h)[0] > alpha:
             details[e] = "alpha-raise"
             continue
-        dh = all_pairs_distances(h).dist
+        dh = all_pairs_distances(h)
         tag = "none"
         for ui, uj in (e, (e[1], e[0])):
             for y in [ui] + g.neighbors(ui):
-                if dh[y][uj] >= 3 and exists_alpha_set_avoiding(g, (y, uj)):
+                if (dh.distance(y, uj) >= 3
+                        and exists_alpha_set_avoiding(g, (y, uj))):
                     tag = "far-pair"
                     break
             if tag != "none":
@@ -314,8 +314,10 @@ def _check_detour_drop(g: Graph, deadline):
     ok = True
     for e in g.edges:
         h = delete_edge(g, e)
-        hits = sum(1 for u, v in _stretched_pairs(h, diam)
-                   if _detour_colorable(g, u, v, diam, base.value, deadline))
+        dh = all_pairs_distances(h)
+        hits = sum(1 for u in range(g.n) for v in range(u + 1, g.n)
+                   if dh.distance(u, v) > diam
+                   and _detour_colorable(g, u, v, diam, base.value, deadline))
         fired += hits
         # one drop test confirms the drop for every firing pair
         if hits and not _drops(h, range(g.n), base, deadline):

@@ -47,6 +47,7 @@ from .solver import (
     ChiRhoResult,
     PackingColoring,
     _PowerSums,
+    _color_tuple,
     _search,
     _twin_groups,
     is_valid_packing_coloring,
@@ -254,13 +255,13 @@ def edge_drop_profile(g: Graph, deadline=None):
     return drop_profile(base.value, {e: val for e, (val, _) in edges.items()})
 
 
-def _conflict_pairs(colors, dist, k):
+def _conflict_pairs(colors, dm, k):
     """Same-color-k pairs sitting at distance <= k."""
     members = [v for v, c in enumerate(colors) if c == k]
     pairs = []
     for i, x in enumerate(members):
         for y in members[i + 1:]:
-            if dist[x][y] <= k:
+            if dm.distance(x, y) <= k:
                 pairs.append((x, y))
     return pairs
 
@@ -281,8 +282,7 @@ def repair_coloring(g: Graph, e, c_prime) -> PackingColoring:
     if u1 > u2:
         u1, u2 = u2, u1
     h = delete_edge(g, (u1, u2))
-    colors = list(c_prime.colors if isinstance(c_prime, PackingColoring)
-                  else c_prime)
+    colors = list(_color_tuple(c_prime))
     if len(colors) != g.n:
         raise RepairError("coloring covers %d vertices, graph has %d"
                           % (len(colors), g.n))
@@ -290,10 +290,10 @@ def repair_coloring(g: Graph, e, c_prime) -> PackingColoring:
         raise RepairError("input coloring is not valid on the edge-deleted graph")
 
     m = max(colors)
-    dist = all_pairs_distances(g).dist
+    dm = all_pairs_distances(g)
     fresh = m
     for k in sorted(set(colors)):
-        pairs = _conflict_pairs(colors, dist, k)
+        pairs = _conflict_pairs(colors, dm, k)
         if not pairs:
             continue
         common = set(pairs[0])
@@ -303,7 +303,7 @@ def repair_coloring(g: Graph, e, c_prime) -> PackingColoring:
             raise RepairError(
                 "conflicting pairs for color %d share no common vertex" % k)
         # tie-break: nearest to the lower edge endpoint, then smallest id
-        z = min(common, key=lambda w: (dist[w][u1], w))
+        z = min(common, key=lambda w: (dm.distance(w, u1), w))
         fresh += 1
         colors[z] = fresh
 
@@ -314,14 +314,6 @@ def repair_coloring(g: Graph, e, c_prime) -> PackingColoring:
     if result.palette_size > cap:
         raise RepairError("repair exceeded the palette cap %d" % cap)
     return result
-
-
-def _stretched_pairs(h: Graph, diam: int):
-    """Pairs u < v farther apart than diam in h, a deletion G - e of G, in
-    order."""
-    dist = all_pairs_distances(h).dist
-    return [(u, v) for u in range(h.n) for v in range(u + 1, h.n)
-            if dist[u][v] > diam]
 
 
 def detour_drop_criterion(g: Graph, e, u: int, v: int, deadline=None) -> bool:
@@ -340,7 +332,7 @@ def detour_drop_criterion(g: Graph, e, u: int, v: int, deadline=None) -> bool:
     diam = metric_summary(g).diameter
     if diam == INFINITY or diam < 1:
         return False
-    if (min(u, v), max(u, v)) not in _stretched_pairs(delete_edge(g, e), diam):
+    if all_pairs_distances(delete_edge(g, e)).distance(u, v) <= diam:
         return False
     chi = packing_chromatic_number(g, deadline=deadline).value
     return _detour_colorable(g, u, v, diam, chi, deadline)

@@ -119,25 +119,28 @@ class Graph:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs shortest path distances; unreachable pairs hold INFINITY.
+    """All-pairs shortest path distances held as BFS balls.
 
-    rings[v] holds the BFS levels of v as bitmasks: rings[v][d - 1] is the
-    set of vertices at distance exactly d from v, for d = 1 up to v's
-    largest finite distance, so len(rings[v]) is that distance and OR-ing
-    the first c levels gives the vertices within distance 1..c of v.
+    balls[v][c] is the set of vertices at distance 1..c from v as a
+    bitmask, for c = 0 up to v's largest finite distance, so balls[v][0] is
+    0 and len(balls[v]) - 1 is that distance.  Vertices of other components
+    lie in no ball of v; their distance from v is INFINITY.
     """
 
     n: int
-    dist: tuple
-    rings: tuple
+    balls: tuple
 
     def distance(self, u: int, v: int):
-        return self.dist[u][v]
+        ball = self.balls[u]
+        if not ball[-1] >> v & 1:
+            return 0 if u == v else INFINITY
+        return next(c for c, within in enumerate(ball) if within >> v & 1)
 
     def eccentricity(self, v: int):
-        if self.n <= 1:
-            return 0
-        return max(self.dist[v][u] for u in range(self.n) if u != v)
+        ball = self.balls[v]
+        if ball[-1] != ((1 << self.n) - 1) ^ (1 << v):
+            return INFINITY
+        return len(ball) - 1
 
     @property
     def diameter(self):
@@ -161,42 +164,28 @@ class MetricSummary:
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex, keeping each level's vertex mask as a ring;
+    """BFS from every vertex, keeping the ball reached after each level;
     cached on the graph object."""
     if g._dist is not None:
         return g._dist
-    n = g.n
     rows = g.rows
-    out = []
-    rings = []
-    for s in range(n):
-        d = [INFINITY] * n
-        d[s] = 0
-        seen = 1 << s
-        frontier = 1 << s
-        level = 0
-        levels = []
-        while frontier:
+    balls = []
+    for s in range(g.n):
+        seen = frontier = 1 << s
+        ball = [0]
+        while True:
             nxt = 0
             m = frontier
             while m:
-                v = (m & -m).bit_length() - 1
-                nxt |= rows[v]
+                nxt |= rows[(m & -m).bit_length() - 1]
                 m &= m - 1
-            nxt &= ~seen
-            if not nxt:
+            frontier = nxt & ~seen
+            if not frontier:
                 break
-            levels.append(nxt)
-            level += 1
-            m = nxt
-            while m:
-                d[(m & -m).bit_length() - 1] = level
-                m &= m - 1
-            seen |= nxt
-            frontier = nxt
-        out.append(tuple(d))
-        rings.append(tuple(levels))
-    dm = DistanceMatrix(n, tuple(out), tuple(rings))
+            seen |= frontier
+            ball.append(ball[-1] | frontier)
+        balls.append(tuple(ball))
+    dm = DistanceMatrix(g.n, tuple(balls))
     g._dist = dm
     return dm
 
@@ -438,13 +427,13 @@ def max_independent_set(rows, avail=None, deadline=None):
 
 def exists_alpha_set_avoiding(g: Graph, forbidden) -> bool:
     """True iff some maximum independent set of g avoids every forbidden vertex."""
-    forbidden = set(forbidden)
-    for v in forbidden:
+    avail = (1 << g.n) - 1
+    for v in set(forbidden):
         if not 0 <= v < g.n:
             raise GraphError("vertex %r outside graph" % (v,))
-    alpha = independence_number(g)[0]
-    rest, _ = induced_subgraph(g, [v for v in range(g.n) if v not in forbidden])
-    return independence_number(rest)[0] == alpha
+        avail &= ~(1 << v)
+    return (max_independent_set(g.rows, avail)[0]
+            == max_independent_set(g.rows)[0])
 
 
 @dataclass(frozen=True)

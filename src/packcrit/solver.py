@@ -43,8 +43,9 @@ counts colors inside closed neighbourhoods (every color >= 2 appears at
 most once in one, color 1 on an independent set).  Where either bound
 meets the witnessed palette no unsatisfiable search is needed to prove
 optimality.  Each search of the walk is hinted with the coloring in hand,
-one palette up.  The conflict table of a search and the greedy
-construction are built from the BFS rings of the cached distance matrix.
+one palette up.  The conflict table of a search, the greedy construction
+and the rows of G^c all read the balls of the cached distance matrix (the
+ball of radius c around v holds the vertices at distance 1..c from v).
 A deadline reaches every search and the independence numbers behind the
 construction and both bounds.  The search keeps its own stack, so no graph
 size meets Python's recursion limit.  Component witnesses are stitched
@@ -101,21 +102,26 @@ def _is_color(c) -> bool:
     return type(c) is int and c >= 1
 
 
+def _color_tuple(coloring) -> tuple:
+    """The colors of a PackingColoring or of any sequence, as a tuple."""
+    if isinstance(coloring, PackingColoring):
+        return coloring.colors
+    return tuple(coloring)
+
+
 def is_valid_packing_coloring(g: Graph, coloring) -> bool:
-    """Every vertex colored with an integer >= 1 and every same-colored pair
-    far enough apart."""
-    colors = coloring.colors if isinstance(coloring, PackingColoring) else tuple(coloring)
+    """Every vertex colored with an integer >= 1 and no vertex of color c
+    in the ball of radius c around another."""
+    colors = _color_tuple(coloring)
     if len(colors) != g.n:
         return False
     if not all(map(_is_color, colors)):
         return False
-    dist = all_pairs_distances(g).dist
-    for u in range(g.n):
-        cu = colors[u]
-        for v in range(u + 1, g.n):
-            if colors[v] == cu and dist[u][v] <= cu:
-                return False
-    return True
+    classes = {}
+    for v, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return not any(ball[min(c, len(ball) - 1)] & classes[c]
+                   for ball, c in zip(all_pairs_distances(g).balls, colors))
 
 
 def _twin_groups(g: Graph):
@@ -200,7 +206,7 @@ def _search(g: Graph, k: int, allowed, deadline, hint=None):
         return (), 0
     if k <= 0:
         return None, 0
-    rings = all_pairs_distances(g).rings
+    balls = all_pairs_distances(g).balls
 
     everyone = (1 << n) - 1
     # avail[c - 1]: the vertices whose domain still holds color c
@@ -216,14 +222,8 @@ def _search(g: Graph, k: int, allowed, deadline, hint=None):
             avail[0] &= ~(1 << v)
 
     # conflict[v][c]: vertices that cannot share color c with v, i.e. the
-    # vertices at distance 1..c, as prefix ORs of v's BFS rings
-    conflict = []
-    for ring in rings:
-        acc = [0]
-        for level in ring[:k]:
-            acc.append(acc[-1] | level)
-        acc += [acc[-1]] * (k + 1 - len(acc))
-        conflict.append(acc)
+    # ball of radius c around v, the last ball repeated up to c = k
+    conflict = [ball + ball[-1:] * (k + 1 - len(ball)) for ball in balls]
 
     groups = _twin_groups(g)
     restricted = set(allowed)
@@ -331,17 +331,12 @@ def _construction(g: Graph, deadline):
     greedy = []
     # classes[c]: the vertices the greedy has colored c so far
     classes = [0]
-    for ring in all_pairs_distances(g).rings:
-        # within grows to the vertices at distance 1..c as c rises
-        c = within = 0
-        while True:
+    for ball in all_pairs_distances(g).balls:
+        c = 1
+        while c < len(classes) and classes[c] & ball[min(c, len(ball) - 1)]:
             c += 1
-            if c == len(classes):
-                classes.append(0)
-            if c <= len(ring):
-                within |= ring[c - 1]
-            if not classes[c] & within:
-                break
+        if c == len(classes):
+            classes.append(0)
         classes[c] |= 1 << len(greedy)
         greedy.append(c)
     alpha, alpha_set = independence_number(g, deadline)
@@ -381,19 +376,19 @@ class _PowerSums:
 
     Each term is rho_c = alpha(G^c).  rho_1 is alpha(G), passed in when the
     caller has it.  From the largest finite distance t on, rho_c is the
-    number of components.  Below t the rows of G^c are prefix ORs of the
-    BFS rings, built up to the largest power asked for; a greedy
-    independent set gives a lower bound on rho_c, and the exact alpha runs
-    only while the sum of the lower bounds is still below n.  Every value is
-    kept, so later questions about smaller palettes cost only the sum.
+    number of components.  Below t row v of G^c is the ball of radius c
+    around v, or v's last ball when its largest distance is smaller; a
+    greedy independent set gives a lower bound on rho_c, and the exact
+    alpha runs only while the sum of the lower bounds is still below n.
+    Every value is kept, so later questions about smaller palettes cost
+    only the sum.
     deadline is passed on to every exact alpha.
     """
 
     def __init__(self, g: Graph, alpha, deadline):
         self.g = g
-        self.rings = all_pairs_distances(g).rings
-        self.top = max(map(len, self.rings), default=0)
-        self.powers = [g.rows]
+        self.balls = all_pairs_distances(g).balls
+        self.top = max(map(len, self.balls)) - 1
         self.exact = {} if alpha is None else {1: alpha}
         self.lower = {}
         self.components = None
@@ -401,12 +396,7 @@ class _PowerSums:
 
     def _power(self, c):
         """Adjacency rows of G^c."""
-        powers = self.powers
-        while len(powers) < c:
-            d = len(powers)
-            powers.append(tuple(row | ring[d] if d < len(ring) else row
-                                for row, ring in zip(powers[-1], self.rings)))
-        return powers[c - 1]
+        return [ball[min(c, len(ball) - 1)] for ball in self.balls]
 
     def closes(self, k) -> bool:
         n = self.g.n
@@ -528,7 +518,7 @@ def packing_chromatic_number(g: Graph, start=None, deadline=None) -> ChiRhoResul
     int >= 1 included, raises ValueError.
     """
     if start is not None:
-        start = tuple(start)
+        start = _color_tuple(start)
         if not is_valid_packing_coloring(g, start):
             raise ValueError("start is not a packing coloring of the graph")
     comps = connected_components(g)

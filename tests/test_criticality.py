@@ -273,10 +273,10 @@ class TestDetourCriterion:
             diam = metric_summary(g).diameter
             chi = packing_chromatic_number(g).value
             for e in g.edges:
-                dist = all_pairs_distances(delete_edge(g, e)).dist
+                dist = all_pairs_distances(delete_edge(g, e)).distance
                 for u in range(g.n):
                     for v in range(u + 1, g.n):
-                        if dist[u][v] <= diam:
+                        if dist(u, v) <= diam:
                             continue
                         pinned = any(
                             decide_packing_k_colorable(

@@ -30,6 +30,17 @@ def path(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def floyd_warshall(g):
+    """Distance table by Floyd-Warshall, INFINITY across components."""
+    dist = [[0 if i == j else 1 if g.has_edge(i, j) else INFINITY
+             for j in range(g.n)] for i in range(g.n)]
+    for m in range(g.n):
+        for i in range(g.n):
+            for j in range(g.n):
+                dist[i][j] = min(dist[i][j], dist[i][m] + dist[m][j])
+    return dist
+
+
 def cycle(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -126,17 +137,24 @@ class TestDistances:
                 assert d.distance(u, v) == d.distance(v, u)
 
     def test_rings_are_distance_classes(self):
-        # rings[v][d - 1] = {u : dist(v, u) = d}, up to v's largest finite
-        # distance; unreachable vertices sit in no ring
+        # the ring balls[v][d] - balls[v][d - 1] = {u : dist(v, u) = d}, up
+        # to v's largest finite distance, against Floyd-Warshall distances;
+        # unreachable vertices sit in no ring
         for g in list(load_corpus("connected-le7")) + [
                 Graph.from_edges(5, [(0, 1), (2, 3)])]:
             d = all_pairs_distances(g)
+            dist = floyd_warshall(g)
             for v in range(g.n):
-                finite = [x for x in d.dist[v] if x != INFINITY]
-                assert len(d.rings[v]) == max(finite)
-                for level, ring in enumerate(d.rings[v], 1):
-                    assert ring == sum(1 << u for u in range(g.n)
-                                       if d.dist[v][u] == level)
+                finite = [x for x in dist[v] if x != INFINITY]
+                balls = d.balls[v]
+                assert balls[0] == 0
+                assert len(balls) - 1 == max(finite)
+                for level in range(1, len(balls)):
+                    assert balls[level] & ~balls[level - 1] == sum(
+                        1 << u for u in range(g.n) if dist[v][u] == level)
+                    assert balls[level - 1] & ~balls[level] == 0
+                for u in range(g.n):
+                    assert d.distance(v, u) == dist[v][u]
 
     def test_cycle_eccentricities(self):
         d = all_pairs_distances(cycle(5))

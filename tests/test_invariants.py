@@ -173,18 +173,48 @@ class TestSolverInvariants:
 def distance_row_twins(g):
     """The twin classes by their first definition: v joins the first class
     whose first member r has the same distance row as v away from v and r."""
-    dist = all_pairs_distances(g).dist
+    dm = all_pairs_distances(g)
     groups = []
     for v in range(g.n):
         for grp in groups:
             r = grp[0]
-            if all(dist[v][w] == dist[r][w]
+            if all(dm.distance(v, w) == dm.distance(r, w)
                    for w in range(g.n) if w != v and w != r):
                 grp.append(v)
                 break
         else:
             groups.append([v])
     return groups
+
+
+def floyd_warshall(g):
+    """Distance table by Floyd-Warshall, INFINITY across components."""
+    dist = [[0 if i == j else 1 if g.has_edge(i, j) else INFINITY
+             for j in range(g.n)] for i in range(g.n)]
+    for m in range(g.n):
+        for i in range(g.n):
+            for j in range(g.n):
+                dist[i][j] = min(dist[i][j], dist[i][m] + dist[m][j])
+    return dist
+
+
+class TestValidityOracle:
+    @SETTINGS
+    @given(st.data())
+    def test_matches_pairwise_check(self, data):
+        # two drawn graphs side by side, so most inputs are disconnected;
+        # colors up to n + 2 lie above every finite distance
+        g = disjoint_union(data.draw(graphs(max_n=6)),
+                           data.draw(graphs(max_n=4)))
+        dist = floyd_warshall(g)
+        colorings = [data.draw(st.lists(
+            st.integers(min_value=1, max_value=g.n + 2),
+            min_size=g.n, max_size=g.n)),
+            packing_chromatic_number(g).witness.colors]
+        for colors in colorings:
+            pairwise = all(colors[u] != colors[v] or dist[u][v] > colors[u]
+                           for u in range(g.n) for v in range(u + 1, g.n))
+            assert is_valid_packing_coloring(g, colors) == pairwise
 
 
 class TestTwinGroups:
@@ -287,11 +317,11 @@ class TestDistances:
     @SETTINGS
     @given(graphs(max_n=9))
     def test_metric_axioms(self, g):
-        d = all_pairs_distances(g).dist
+        d = all_pairs_distances(g).distance
         for i in range(g.n):
-            assert d[i][i] == 0
+            assert d(i, i) == 0
             for j in range(g.n):
-                assert d[i][j] == d[j][i]
+                assert d(i, j) == d(j, i)
                 for m in range(g.n):
-                    if d[i][m] < INFINITY and d[m][j] < INFINITY:
-                        assert d[i][j] <= d[i][m] + d[m][j]
+                    if d(i, m) < INFINITY and d(m, j) < INFINITY:
+                        assert d(i, j) <= d(i, m) + d(m, j)

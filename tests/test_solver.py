@@ -46,7 +46,7 @@ def complete(n):
 def plain_colorable(g, k, masks):
     """Label-order backtracking under the distance rule and the masks alone,
     with none of the search's pruning: no twin break, no color-1 cut."""
-    dist = all_pairs_distances(g).dist
+    dm = all_pairs_distances(g)
     colors = []
 
     def extend(v):
@@ -54,7 +54,7 @@ def plain_colorable(g, k, masks):
             return True
         for c in range(1, k + 1):
             if masks.get(v, -1) >> (c - 1) & 1 and all(
-                    colors[u] != c or dist[u][v] > c for u in range(v)):
+                    colors[u] != c or dm.distance(u, v) > c for u in range(v)):
                 colors.append(c)
                 if extend(v + 1):
                     return True
@@ -74,7 +74,7 @@ def vertex_major_search(g, k, allowed, hint=None):
         return (), 0
     if k <= 0:
         return None, 0
-    rings = all_pairs_distances(g).rings
+    balls = all_pairs_distances(g).balls
     full = (1 << k) - 1
     domains = [full] * n
     hint_bit = [0] * n if hint is None else [1 << (c - 1) for c in hint]
@@ -83,13 +83,8 @@ def vertex_major_search(g, k, allowed, hint=None):
     for v, row in enumerate(g.rows):
         if row.bit_count() >= k:
             domains[v] &= ~1
-    conflict = []
-    for ring in rings:
-        acc = [0]
-        for level in ring[:k]:
-            acc.append(acc[-1] | level)
-        acc += [acc[-1]] * (k + 1 - len(acc))
-        conflict.append(acc)
+    conflict = [[ball[min(c, len(ball) - 1)] for c in range(k + 1)]
+                for ball in balls]
     restricted = set(allowed)
     twin_pred = [None] * n
     ordered_groups = []
@@ -269,6 +264,20 @@ class TestValues:
         assert_optimal_witness(g, best)
         assert best.node_count < plain.node_count
         assert worse.node_count == plain.node_count
+
+    def test_witness_as_start(self):
+        # a PackingColoring is accepted as start, so one solve's witness
+        # feeds the next solve
+        assert packing_chromatic_number(
+            path(2), start=PackingColoring((1, 2))).value == 2
+        for g in (cycle(5), TRIANGLE_WITH_TAIL,
+                  disjoint_union(cycle(5), TRIANGLE_WITH_TAIL)):
+            first = packing_chromatic_number(g)
+            again = packing_chromatic_number(g, start=first.witness)
+            assert again.value == first.value
+            assert_optimal_witness(g, again)
+        with pytest.raises(ValueError):
+            packing_chromatic_number(path(2), start=PackingColoring((1, 1)))
 
     def test_start_split_per_component(self):
         g = disjoint_union(cycle(5), TRIANGLE_WITH_TAIL)
