@@ -42,13 +42,23 @@ palette is neighborhood_lower_bound computed, once per component: it
 counts colors inside closed neighbourhoods (every color >= 2 appears at
 most once in one, color 1 on an independent set).  Where either bound
 meets the witnessed palette no unsatisfiable search is needed to prove
-optimality.  Each search of the walk is hinted with the coloring in hand,
+optimality.  Where neither bound closes the first palette, one more
+coloring is built before the first search, once per component: the
+layered coloring puts color 1 on the construction's maximum independent
+set and color c on a maximum independent set of G^c among the vertices
+still uncolored, one color per vertex from the largest finite distance
+on, and stops once it reaches the palette in hand.  Every color takes at
+least one vertex, so it never uses more than n - alpha + 1 colors; when
+it uses fewer than the coloring in hand it replaces it and the bounds are
+asked again.  Each search of the walk is hinted with the coloring in hand,
 one palette up.  The conflict table of a search, the greedy construction
 and the rows of G^c all read the balls of the cached distance matrix (the
-ball of radius c around v holds the vertices at distance 1..c from v).
-A deadline reaches every search and the independence numbers behind the
-construction and both bounds.  The search keeps its own stack, so no graph
-size meets Python's recursion limit.  Component witnesses are stitched
+ball of radius c around v holds the vertices at distance 1..c from v); the
+rows of G^c are built once per c and serve the power bound and the
+layered coloring alike.  A deadline reaches every search and the
+independence numbers behind the construction, both bounds and the layered
+coloring.  The search keeps its own stack, so no graph size meets
+Python's recursion limit.  Component witnesses are stitched
 back onto the original vertex ids.  The solver keeps no memo of its own
 between calls.
 """
@@ -63,7 +73,6 @@ from .graphs import (
     SolveTimeout,
     all_pairs_distances,
     connected_components,
-    independence_number,
     induced_subgraph,
     max_independent_set,
 )
@@ -325,9 +334,10 @@ def decide_packing_k_colorable(g: Graph, k: int, pinned=None, deadline=None):
 
 
 def _construction(g: Graph, deadline):
-    """(colors, alpha(G)): the colors of the better of two search-free
-    packing colorings, a maximum independent set colored 1 and every other
-    vertex its own color, or the least-legal-color greedy in label order."""
+    """(colors, first): the colors of the better of two search-free packing
+    colorings, a maximum independent set colored 1 and every other vertex
+    its own color, or the least-legal-color greedy in label order; first is
+    that independent set as a vertex mask."""
     greedy = []
     # classes[c]: the vertices the greedy has colored c so far
     classes = [0]
@@ -339,10 +349,10 @@ def _construction(g: Graph, deadline):
             classes.append(0)
         classes[c] |= 1 << len(greedy)
         greedy.append(c)
-    alpha, alpha_set = independence_number(g, deadline)
+    first = max_independent_set(g.rows, None, deadline)[1]
     fresh = iter(range(2, g.n + 2))
-    spread = tuple(1 if v in alpha_set else next(fresh) for v in range(g.n))
-    return min(spread, tuple(greedy), key=max), alpha
+    spread = tuple(1 if first >> v & 1 else next(fresh) for v in range(g.n))
+    return min(spread, tuple(greedy), key=max), first
 
 
 def _greedy_independent(rows) -> int:
@@ -370,17 +380,20 @@ def _greedy_independent(rows) -> int:
 
 
 class _PowerSums:
-    """The power bound's incremental test for one graph: closes(k) answers
-    whether sum_{c=1..k-1} alpha(G^c) < n, which rules out every packing
-    (k-1)-coloring (see packing_lower_bound).
+    """The rows of G^c for one graph, built once per c, and the two
+    questions the walk asks of them.  closes(k) is the power bound's
+    incremental test: it answers whether sum_{c=1..k-1} alpha(G^c) < n,
+    which rules out every packing (k-1)-coloring (see packing_lower_bound).
+    layered(first, cap) is its upper-side companion, a packing coloring
+    built from independent sets of the same powers.
 
-    Each term is rho_c = alpha(G^c).  rho_1 is alpha(G), passed in when the
-    caller has it.  From the largest finite distance t on, rho_c is the
-    number of components.  Below t row v of G^c is the ball of radius c
-    around v, or v's last ball when its largest distance is smaller; a
-    greedy independent set gives a lower bound on rho_c, and the exact
-    alpha runs only while the sum of the lower bounds is still below n.
-    Every value is kept, so later questions about smaller palettes cost
+    In closes, each term is rho_c = alpha(G^c).  rho_1 is alpha(G), passed
+    in when the caller has it.  From the largest finite distance t on,
+    rho_c is the number of components.  Below t row v of G^c is the ball of
+    radius c around v, or v's last ball when its largest distance is
+    smaller; a greedy independent set gives a lower bound on rho_c, and the
+    exact alpha runs only while the sum of the lower bounds is still below
+    n.  Every value is kept, so later questions about smaller palettes cost
     only the sum.
     deadline is passed on to every exact alpha.
     """
@@ -391,12 +404,17 @@ class _PowerSums:
         self.top = max(map(len, self.balls)) - 1
         self.exact = {} if alpha is None else {1: alpha}
         self.lower = {}
+        self.rows = {}
         self.components = None
         self.deadline = deadline
 
     def _power(self, c):
         """Adjacency rows of G^c."""
-        return [ball[min(c, len(ball) - 1)] for ball in self.balls]
+        rows = self.rows.get(c)
+        if rows is None:
+            rows = self.rows[c] = [ball[min(c, len(ball) - 1)]
+                                   for ball in self.balls]
+        return rows
 
     def closes(self, k) -> bool:
         n = self.g.n
@@ -422,6 +440,47 @@ class _PowerSums:
                 self._power(c), None, self.deadline)[0]
             total += rho - self.lower[c]
         return total < n
+
+    def layered(self, first, cap):
+        """A packing coloring with fewer than cap colors, or None when the
+        layering reaches cap first.
+
+        first, a vertex mask of an independent set of G, takes color 1.
+        Color c = 2, 3, ... then takes a maximum independent set of G^c
+        among the vertices no smaller color took: its members are pairwise
+        more than c apart, so every class is a packing class.  From the
+        largest finite distance t on, each remaining vertex gets its own
+        color (G^c is complete on a connected graph there).  The layering
+        stops as soon as c reaches cap.
+
+        Every color c >= 2 takes at least one of the vertices left, so with
+        first a maximum independent set the palette is at most
+        n - alpha + 1, that of the construction coloring first 1 and every
+        other vertex distinctly; the two are equal only when every class
+        past color 1 is a single vertex, which is the case at diameter
+        <= 2.  deadline is passed on to every alpha.
+        """
+        colors = [0] * self.g.n
+        left = (1 << self.g.n) - 1
+        c = 0
+        while left:
+            c += 1
+            if c >= cap:
+                return None
+            if c == 1:
+                take = first
+            elif c >= self.top:
+                # one color per remaining vertex, lowest id first
+                take = left & -left
+            else:
+                take = max_independent_set(self._power(c), left,
+                                           self.deadline)[1]
+            left &= ~take
+            while take:
+                bit = take & -take
+                take ^= bit
+                colors[bit.bit_length() - 1] = c
+        return tuple(colors)
 
 
 def packing_lower_bound(g: Graph, deadline=None) -> int:
@@ -485,19 +544,28 @@ def _component_value(g: Graph, start, deadline):
     """Chi-rho of a connected (or empty) graph: (value, colors, nodes),
     walking down from the better of the construction and start (or None;
     start wins ties) to the first infeasible palette or to the first
-    palette that the power bound or neighborhood_lower_bound closes."""
+    palette that the power bound or neighborhood_lower_bound closes.
+    Where neither bound closes the first palette, the layered coloring
+    (_PowerSums.layered) is tried once before any search, and replaces the
+    coloring in hand when it uses fewer colors; the bounds are then asked
+    again."""
     if g.n == 0:
         return 0, (), 0
-    colors, alpha = _construction(g, deadline)
+    colors, first = _construction(g, deadline)
     if start is not None and max(start) <= max(colors):
         colors = start
     k = max(colors)
-    sums = _PowerSums(g, alpha, deadline)
+    sums = _PowerSums(g, first.bit_count(), deadline)
     floor = None
     nodes = 0
     while not sums.closes(k):
         if floor is None:
             floor = neighborhood_lower_bound(g, deadline)
+            if k > floor:
+                layered = sums.layered(first, k)
+                if layered is not None:
+                    colors, k = layered, max(layered)
+                    continue
         if k <= floor:
             break
         # the coloring in hand guides the search one palette down

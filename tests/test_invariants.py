@@ -5,8 +5,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from packcrit.corpus import all_graphs
-from packcrit.solver import _search, _twin_groups
+from packcrit.corpus import all_graphs, load_corpus
+from packcrit.graphs import max_independent_set
+from packcrit.solver import _PowerSums, _search, _twin_groups
 from packcrit import (
     Graph,
     all_pairs_distances,
@@ -57,6 +58,21 @@ def graphs_with_twins(draw, max_n=8):
         if draw(st.booleans()):
             edges.add((v, n))
         n += 1
+    return relabeled(Graph.from_edges(n, edges),
+                     draw(st.integers(min_value=0, max_value=2 ** 30)))
+
+
+@st.composite
+def connected_graphs(draw, max_n=10):
+    """A random spanning tree (each vertex after the first joined to an
+    earlier one) plus any further edges, randomly relabelled."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v)
+             for v in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    edges |= {p for p, keep in zip(pairs, mask) if keep}
     return relabeled(Graph.from_edges(n, edges),
                      draw(st.integers(min_value=0, max_value=2 ** 30)))
 
@@ -215,6 +231,37 @@ class TestValidityOracle:
             pairwise = all(colors[u] != colors[v] or dist[u][v] > colors[u]
                            for u in range(g.n) for v in range(u + 1, g.n))
             assert is_valid_packing_coloring(g, colors) == pairwise
+
+
+def check_layered(g, cap):
+    """_PowerSums.layered on a connected graph g, from a maximum independent
+    set, against what its docstring promises."""
+    alpha, first = max_independent_set(g.rows)
+
+    def layered(cap):
+        return _PowerSums(g, alpha, None).layered(first, cap)
+
+    full = layered(g.n - alpha + 2)
+    # the palette is at most that of the independent-set construction
+    assert full is not None and max(full) <= g.n - alpha + 1
+    assert is_valid_packing_coloring(g, full)
+    if g.n <= 8:
+        assert max(full) >= brute_force_chi_rho(g)
+    # the layering is deterministic and stops once it reaches the cap, so
+    # it returns the same coloring exactly when that coloring fits under it
+    for c in (cap, max(full), max(full) + 1):
+        assert layered(c) == (full if max(full) < c else None)
+
+
+class TestLayeredColoring:
+    def test_connected_le7(self):
+        for g in load_corpus("connected-le7"):
+            check_layered(g, g.n + 1)
+
+    @SETTINGS
+    @given(connected_graphs(), st.integers(min_value=1, max_value=12))
+    def test_connected_up_to_10(self, g, cap):
+        check_layered(g, cap)
 
 
 class TestTwinGroups:

@@ -23,7 +23,8 @@ from packcrit import (
     parse_graph6,
 )
 from packcrit.corpus import all_graphs, connected_graphs, load_corpus
-from packcrit.solver import _search, _twin_groups
+from packcrit.graphs import max_independent_set
+from packcrit.solver import _PowerSums, _search, _twin_groups
 
 
 def assert_optimal_witness(g, res):
@@ -387,6 +388,34 @@ class TestPowerBound:
         with pytest.raises(SolveTimeout):
             packing_lower_bound(path(20), deadline=expired)
         assert packing_lower_bound(path(20)) == 3
+
+
+class TestLayered:
+    @pytest.mark.parametrize("code, chi", [
+        ("KtmCKL?OI@gF", 9),
+        ("K{aIADBG@?cB", 7),
+    ])
+    def test_layering_ends_the_walk_at_the_power_bound(self, code, chi):
+        # diameter-3 block graphs whose independent-set construction uses
+        # n - alpha + 1 = chi + 1 and chi + 2 colors; the layered coloring
+        # uses chi, which the power bound closes, so no search runs (the
+        # walk searched 19,582 and 10,764 nodes before the layering)
+        g = parse_graph6(code)
+        res = packing_chromatic_number(g)
+        assert res.value == chi == packing_lower_bound(g)
+        assert res.node_count == 0
+        assert_optimal_witness(g, res)
+
+    def test_expired_deadline_raises_from_layering(self):
+        # C12's square restricted to the vertices color 1 left is a
+        # 6-cycle, whose alpha must branch
+        g = cycle(12)
+        alpha, first = max_independent_set(g.rows)
+        expired = time.monotonic() - 1.0
+        with pytest.raises(SolveTimeout):
+            _PowerSums(g, alpha, expired).layered(first, g.n)
+        colors = _PowerSums(g, alpha, None).layered(first, g.n)
+        assert max(colors) == 3 and is_valid_packing_coloring(g, colors)
 
 
 class TestDecide:
