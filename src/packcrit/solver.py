@@ -21,7 +21,18 @@ went before it, and an infeasible search tries them all, so the hint leaves
 unsatisfiable proofs node for node as they were and only shortens
 satisfiable searches.  Color 1 starts out of the domain of every vertex of
 degree >= k: its neighbours, pairwise within distance 2, would need deg(v)
-distinct colors from 2..k.
+distinct colors from 2..k.  A second symmetry break is value precedence
+(Van Hentenryck et al. 2003; Law & Lee 2004) over the high colors, those
+from max(T, 2) up to k with T the largest finite distance: each of them
+conflicts with a vertex's whole component, so they are interchangeable, and
+a vertex may take a high color only when every lower one is already used
+earlier in its component.  Both breaks are lex-leader constraints under
+the static order, so the lex-least coloring of every orbit under twin swaps
+and high-color permutations together survives them.  The used high colors
+are exactly those the forward check has removed, so the search keeps only
+the lowest high color left in a domain.  Masks that single out some high
+colors turn the rule off, and the hint's high colors are renamed into
+first-use order so that the hint survives it.
 
 The optimizer works per connected component.  It starts from the smallest
 palette among two constructed colorings (one maximum independent set colored
@@ -206,7 +217,40 @@ def _search(g: Graph, k: int, allowed, deadline, hint=None):
     are pairwise within distance 2 through v, so no two of them share a
     color c >= 2: they would need deg(v) distinct colors from 2..k.  That
     holds in every packing k-coloring, so the cut is sound together with
-    the allowed bits, the twin break and the hint.
+    the allowed bits, the twin break, the precedence below and the hint.
+
+    Value precedence over the high colors.  Let T be the largest finite
+    distance of g and top = max(T, 2).  For every vertex v and every
+    c >= T, conflict[v][c] is v's last ball, its whole component minus v,
+    so the colors top..k carry identical constraints: any permutation of
+    them, applied to the whole graph or to one component alone, maps
+    packing colorings to packing colorings, and each of them takes at most
+    one vertex per component.  Color 1 is left out because of the degree
+    cut, which treats it apart.  The rule is the lex-leader constraint for
+    those permutations under the static order (Crawford et al. 1996), that
+    is value precedence: in each component, a vertex may take a high color
+    c only if c <= hi + 1, with hi the highest high color an earlier vertex
+    of that component took (top - 1 if none).  The twin break is the
+    lex-leader constraint for the swap of two twins, which share a
+    component.  The lex-least member of an orbit of the group they all
+    generate satisfies every one of these constraints, so each orbit of
+    packing k-colorings keeps a member; the degree cut holds in every
+    coloring and is invariant under the group, as twins have equal degree.
+    The kernel needs no state for it: once a vertex of v's component takes
+    a high color c, the forward check removes c from v's domain, so the
+    high colors v still holds are hi + 1..k (the rule makes the used ones
+    exactly top..hi), and entering v keeps only the lowest of them.
+    The rule is on when every allowed mask holds all of top..k or none of
+    it, since then the masks are invariant under those permutations too;
+    _detour_colorable's masks are exactly diam..chi, all high colors.  A
+    mask that holds some high colors but not all, such as a pin to one
+    high color, turns it off (high = 0), and so do fewer than two high
+    colors, where it has nothing to cut.  With the rule on, the hint's
+    colors in top..k are renamed top, top + 1, ... in order of first use
+    along the order, separately in each component.  The renamed hint is a
+    packing coloring whenever the hint is, and a search that follows it
+    obeys the rule; the hint still leaves an infeasible search's nodes as
+    they were.
     """
     if deadline is not None and time.monotonic() > deadline:
         raise SolveTimeout("deadline expired before search started")
@@ -220,8 +264,6 @@ def _search(g: Graph, k: int, allowed, deadline, hint=None):
     everyone = (1 << n) - 1
     # avail[c - 1]: the vertices whose domain still holds color c
     avail = [everyone] * k
-    # a hint color above k has its bit outside every domain, so it is ignored
-    hint_bit = [0] * n if hint is None else [1 << (c - 1) for c in hint]
     for v, mask in allowed.items():
         for c in range(k):
             if not mask >> c & 1:
@@ -248,6 +290,25 @@ def _search(g: Graph, k: int, allowed, deadline, hint=None):
         ordered_groups.append(members)
     ordered_groups.sort(key=lambda ms: (-g.degree(ms[0]), ms[0]))
     order = sorted(restricted) + [v for ms in ordered_groups for v in ms]
+
+    # value precedence over the high colors top..k, off (high = 0) unless
+    # there are two or more and every mask treats them alike; the hint's
+    # high colors are renamed top, top + 1, ... in first use along order,
+    # per component (keyed by its vertex mask)
+    top = max(2, max(map(len, balls)) - 1)
+    high = ((1 << k) - 1) & -(1 << (top - 1))
+    if not high & high - 1 or any(m & high not in (0, high)
+                                  for m in allowed.values()):
+        high = 0
+    elif hint is not None:
+        hint = list(hint)
+        renamed = {}
+        for v in order:
+            if top <= hint[v] <= k:
+                seen = renamed.setdefault(balls[v][-1] | 1 << v, {})
+                hint[v] = seen.setdefault(hint[v], top + len(seen))
+    # a hint color above k has its bit outside every domain, so it is ignored
+    hint_bit = [0] * n if hint is None else [1 << (c - 1) for c in hint]
 
     # depth-first over order with an explicit stack: untried[i] holds the
     # colors not yet tried at depth i, twos_at[i] the vertices that had two
@@ -278,6 +339,10 @@ def _search(g: Graph, k: int, allowed, deadline, hint=None):
                 cb <<= 1
                 twos |= ones & a
                 ones |= a
+            if high:
+                # precedence: of the high colors v holds, only the lowest
+                hd = dom & high
+                dom ^= hd & hd - 1
             pred = twin_pred[v]
             if pred is not None:
                 # twins take colors in non-decreasing id order

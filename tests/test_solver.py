@@ -4,6 +4,7 @@ import time
 import pytest
 
 from packcrit import (
+    INFINITY,
     Graph,
     PackingColoring,
     SolveTimeout,
@@ -65,20 +66,29 @@ def plain_colorable(g, k, masks):
     return extend(0)
 
 
+def first_high_color(g):
+    """The largest finite distance of g, and at least 2: from this color on
+    every color conflicts with a vertex's whole component."""
+    dm = all_pairs_distances(g)
+    return max([2] + [dm.distance(u, w) for u in range(g.n)
+                      for w in range(g.n) if dm.distance(u, w) != INFINITY])
+
+
 def vertex_major_search(g, k, allowed, hint=None):
     """Forward checking over per-vertex domains: one color mask per vertex
     and a loop over the conflicting vertices at every trial, with _search's
-    order, twin break, color-1 cut and hint order but no deadline.  The
-    reference for _search's colorings and node counts."""
+    order, twin break, color-1 cut, value precedence, hint renaming and hint
+    order but no deadline.  The reference for _search's colorings and node
+    counts."""
     n = g.n
     if n == 0:
         return (), 0
     if k <= 0:
         return None, 0
-    balls = all_pairs_distances(g).balls
+    dm = all_pairs_distances(g)
+    balls = dm.balls
     full = (1 << k) - 1
     domains = [full] * n
-    hint_bit = [0] * n if hint is None else [1 << (c - 1) for c in hint]
     for v, mask in allowed.items():
         domains[v] = mask & full
     for v, row in enumerate(g.rows):
@@ -99,6 +109,30 @@ def vertex_major_search(g, k, allowed, hint=None):
         ordered_groups.append(members)
     ordered_groups.sort(key=lambda ms: (-g.degree(ms[0]), ms[0]))
     order = sorted(restricted) + [v for ms in ordered_groups for v in ms]
+    # the high colors: from the largest finite distance (and 2) up to k;
+    # precedence applies when every mask holds all of them or none, and
+    # separately in each component
+    first_high = first_high_color(g)
+    highs = set(range(first_high, k + 1))
+    precedence = all(
+        not {c for c in highs if mask >> (c - 1) & 1}
+        or all(mask >> (c - 1) & 1 for c in highs)
+        for mask in allowed.values())
+    component = [frozenset(w for w in range(n)
+                           if dm.distance(u, w) != INFINITY)
+                 for u in range(n)]
+    if precedence and hint is not None:
+        renamed = list(hint)
+        for comp in set(component):
+            firsts = []
+            for v in order:
+                if v in comp and hint[v] in highs and hint[v] not in firsts:
+                    firsts.append(hint[v])
+            for v in comp:
+                if hint[v] in highs:
+                    renamed[v] = first_high + firsts.index(hint[v])
+        hint = renamed
+    hint_bit = [0] * n if hint is None else [1 << (c - 1) for c in hint]
     colors = [0] * n
     untried = [0] * n
     trail = [()] * n
@@ -114,6 +148,13 @@ def vertex_major_search(g, k, allowed, hint=None):
             pred = twin_pred[v]
             if pred is not None:
                 dom &= ~((1 << (colors[pred] - 1)) - 1)
+            if precedence:
+                # no high color above the highest one on the path in v's
+                # component plus one
+                used = [colors[u] for u in order[:idx]
+                        if colors[u] in highs and u in component[v]]
+                newest = max(used, default=first_high - 1) + 1
+                dom &= ~sum(1 << (c - 1) for c in highs if c > newest)
             unassigned &= ~(1 << v)
             m = dom
         else:
@@ -509,6 +550,60 @@ class TestDecide:
             for k in (chi, chi - 1):
                 same(g, k, {})
                 same(g, k, {}, witness)
+
+    def test_precedence_matches_oracles_exhaustive(self):
+        # every palette 0..n+1 of every graph on up to 7 vertices,
+        # disconnected ones included, against the brute-force value; on up
+        # to 6 vertices also two-vertex masks against the plain search:
+        # masks holding all or none of the high colors (precedence on),
+        # one-color pins with a high color and masks holding a random part
+        # of the high colors (precedence off unless the part is all or none)
+        rng = random.Random(21)
+        for g in all_graphs(7):
+            chi = brute_force_chi_rho(g)
+            first_high = first_high_color(g)
+            for k in range(g.n + 2):
+                cases = [({}, k >= chi)]
+                if 2 <= g.n <= 6 and k:
+                    highs = sum(1 << (c - 1) for c in range(first_high, k + 1))
+                    for _ in range(3):
+                        u, v = rng.sample(range(g.n), 2)
+                        masks = {w: rng.randrange(1 << k) & ~highs
+                                 | rng.choice((0, highs)) for w in (u, v)}
+                        cases.append((masks, plain_colorable(g, k, masks)))
+                        pin = rng.randint(min(first_high, k), k)
+                        masks = {u: 1 << (pin - 1),
+                                 v: 1 << rng.randrange(k)}
+                        cases.append((masks, plain_colorable(g, k, masks)))
+                        masks = {w: rng.randrange(1 << k) for w in (u, v)}
+                        cases.append((masks, plain_colorable(g, k, masks)))
+                for masks, want in cases:
+                    found, _ = _search(g, k, masks, None)
+                    assert (found is not None) == want, (g, k, masks)
+                    if found is not None:
+                        assert is_valid_packing_coloring(g, found)
+                        assert max(found, default=0) <= k
+                        assert all(m >> (found[w] - 1) & 1
+                                   for w, m in masks.items())
+
+    def test_precedence_refutes_petersen_quickly(self):
+        # diameter 2, so colors 2..6 are interchangeable: refuting a
+        # 6-coloring need not try their orderings one by one
+        petersen = Graph.from_edges(
+            10, [(i, (i + 1) % 5) for i in range(5)]
+            + [(i, i + 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+        found, nodes = _search(petersen, 6, {}, None)
+        assert found is None and nodes <= 100
+        assert packing_chromatic_number(petersen).value == 7
+
+    def test_partial_high_mask_turns_precedence_off(self):
+        # on P3 colors 2..4 are high; vertex 0 may take 3 or 4 and vertex 1
+        # only 3, so 0 must take 4, the higher of its two high colors
+        g = path(3)
+        found, _ = _search(g, 4, {0: 0b1100, 1: 0b0100}, None)
+        assert found is not None and found[:2] == (4, 3)
+        assert is_valid_packing_coloring(g, found)
 
     def test_twin_break_keeps_satisfiable_pins(self):
         # two leaves on the same support are twins; pinning one of them to a
