@@ -53,34 +53,11 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from .families import LabeledGraph, caterpillar_component_profile
+from .families import caterpillar_component_profile
 from .graphs import Graph, connected_components
 
 # every caterpillar is packing 7-colorable (Goddard et al. 2008)
 MAX_PALETTE = 7
-
-
-def caterpillar_from_profile(leaf_counts) -> LabeledGraph:
-    """Build the caterpillar with the given leaf count at each spine position.
-
-    Spine vertices come first (0..L-1 along the path), then leaves in spine
-    order.  Labels record the spine and each leaf slot.
-    """
-    counts = tuple(int(c) for c in leaf_counts)
-    if not counts:
-        raise ValueError("need at least one spine position")
-    if any(c < 0 for c in counts):
-        raise ValueError("leaf counts must be nonnegative")
-    L = len(counts)
-    edges = [(i, i + 1) for i in range(L - 1)]
-    labels = {"spine[%d]" % i: i for i in range(L)}
-    nxt = L
-    for i, c in enumerate(counts):
-        for j in range(c):
-            edges.append((i, nxt))
-            labels["leaf[%d][%d]" % (i, j)] = nxt
-            nxt += 1
-    return LabeledGraph(Graph.from_edges(nxt, edges), labels)
 
 
 class _Layout:

@@ -24,10 +24,10 @@ from .graphs import (
     all_pairs_distances,
     block_decomposition,
     delete_edge,
-    exists_alpha_set_avoiding,
     independence_number,
     is_connected,
     is_tree,
+    max_independent_set,
     metric_summary,
 )
 from .families import LabeledGraph
@@ -104,18 +104,23 @@ def _two_core(g: Graph):
     return alive
 
 
-def is_leafy_unicyclic(g: Graph) -> bool:
-    """Connected, exactly one cycle, and everything off the cycle is a leaf
-    hanging directly on a cycle vertex."""
+def _leafy_cycle(g: Graph):
+    """The cycle's vertex set when g is leafy unicyclic, else None."""
     if g.n < 3 or not is_connected(g) or g.edge_count != g.n:
-        return False
+        return None
     cycle = _two_core(g)
     for v in range(g.n):
         if v in cycle:
             continue
         if g.degree(v) != 1 or g.neighbors(v)[0] not in cycle:
-            return False
-    return True
+            return None
+    return cycle
+
+
+def is_leafy_unicyclic(g: Graph) -> bool:
+    """Connected, exactly one cycle, and everything off the cycle is a leaf
+    hanging directly on a cycle vertex."""
+    return _leafy_cycle(g) is not None
 
 
 def classify_4critical_leafy_unicyclic(g: Graph) -> bool:
@@ -123,9 +128,9 @@ def classify_4critical_leafy_unicyclic(g: Graph) -> bool:
     deletion-critical with value 4: long cycles whose length is not a
     multiple of four, the triangle with a leaf on every vertex, and the
     4-cycle with leaves on two adjacent vertices."""
-    if not is_leafy_unicyclic(g):
+    cycle = _leafy_cycle(g)
+    if cycle is None:
         raise ShapeError("input is not a leafy unicyclic graph")
-    cycle = _two_core(g)
     length = len(cycle)
     if g.n == length:
         return length >= 5 and length % 4 != 0
@@ -151,6 +156,7 @@ def check_diam2_characterization(g: Graph, deadline=None) -> TheoremVerdict:
     if not is_connected(g) or metric_summary(g).diameter != 2:
         raise ShapeError("characterization requires a connected graph of diameter 2")
     alpha = independence_number(g)[0]
+    full = (1 << g.n) - 1
     details = {}
     structural = True
     for e in g.edges:
@@ -162,8 +168,9 @@ def check_diam2_characterization(g: Graph, deadline=None) -> TheoremVerdict:
         tag = "none"
         for ui, uj in (e, (e[1], e[0])):
             for y in [ui] + g.neighbors(ui):
-                if (dh.distance(y, uj) >= 3
-                        and exists_alpha_set_avoiding(g, (y, uj))):
+                # a maximum independent set avoids y and uj
+                if (dh.distance(y, uj) >= 3 and max_independent_set(
+                        g.rows, full & ~(1 << y) & ~(1 << uj))[0] == alpha):
                     tag = "far-pair"
                     break
             if tag != "none":
@@ -203,22 +210,17 @@ def classify_block_diam3(g: Graph) -> BlockDiam3Classification:
          without leaf neighbors (c1), sits in two side blocks of order 3
          without leaf neighbors (c2), or has degree b+1 with two leaf
          neighbors (c3) -- and some central vertex satisfies c1 or c2.
+    ShapeError when g is not a connected block graph of diameter 3.
     """
     if g.n == 0 or not is_connected(g):
         raise ShapeError("input must be connected")
+    if metric_summary(g).diameter != 3:
+        raise ShapeError("input must have diameter 3")
     bd = block_decomposition(g)
     if not bd.is_block_graph:
         raise ShapeError("input must be a block graph")
-    if metric_summary(g).diameter != 3:
-        raise ShapeError("input must have diameter 3")
-    return _classify_block_diam3(g, bd)
-
-
-def _classify_block_diam3(g: Graph, bd) -> BlockDiam3Classification:
-    """classify_block_diam3 on a connected block graph of diameter 3 with
-    block decomposition bd."""
     if bd.central_block is None:
-        raise ShapeError("center does not span a block")
+        raise ValueError("center does not span a block")
     central = bd.blocks[bd.central_block]
     b = len(central)
     side_orders = {x: [] for x in central}
@@ -256,20 +258,7 @@ def _classify_block_diam3(g: Graph, bd) -> BlockDiam3Classification:
 
 
 def check_block_diam3(g: Graph, deadline=None) -> TheoremVerdict:
-    return _verdict_block_diam3(g, classify_block_diam3(g), deadline)
-
-
-def _check_block_diam3_shaped(g: Graph, deadline):
-    """check_block_diam3 on a connected graph of diameter 3, or None when it
-    is not a block graph: the registry's filter and the classification share
-    one block decomposition."""
-    bd = block_decomposition(g)
-    if not bd.is_block_graph:
-        return None
-    return _verdict_block_diam3(g, _classify_block_diam3(g, bd), deadline)
-
-
-def _verdict_block_diam3(g: Graph, cls, deadline) -> TheoremVerdict:
+    cls = classify_block_diam3(g)
     structural = cls.case != "none"
     truth = is_edge_critical(g, deadline=deadline)
     return TheoremVerdict("block-diam3", emit_graph6(g), structural, truth,
@@ -298,7 +287,13 @@ def _check_critical_value(tid: str, structural: bool, target: int, g: Graph,
                           structural == truth, {"chi": base.value})
 
 
+def _require_vertex(g: Graph):
+    if g.n == 0:
+        raise ShapeError("input must have a vertex")
+
+
 def _check_edge_bound(g: Graph, deadline):
+    _require_vertex(g)
     try:
         profile = edge_drop_profile(g, deadline=deadline)
         ok = True
@@ -310,6 +305,7 @@ def _check_edge_bound(g: Graph, deadline):
 
 
 def _check_connected_critical(g: Graph, deadline):
+    _require_vertex(g)
     crit = is_edge_critical(g, deadline=deadline)
     structural = (not crit) or is_connected(g)
     return TheoremVerdict("connected-critical", emit_graph6(g), structural,
@@ -317,6 +313,7 @@ def _check_connected_critical(g: Graph, deadline):
 
 
 def _check_vertex_implication(g: Graph, deadline):
+    _require_vertex(g)
     base = packing_chromatic_number(g, deadline=deadline)
     crit = _critical_given_chi(g, "edge", base, deadline)
     structural = (not crit) or _critical_given_chi(g, "vertex", base, deadline)
@@ -327,6 +324,8 @@ def _check_vertex_implication(g: Graph, deadline):
 def _check_detour_drop(g: Graph, deadline):
     """Wherever the detour criterion fires, the solver must confirm a strict
     drop for that edge."""
+    if not is_connected(g):
+        raise ShapeError("input must be connected")
     base = packing_chromatic_number(g, deadline=deadline)
     diam = metric_summary(g).diameter
     fired = 0
@@ -345,31 +344,24 @@ def _check_detour_drop(g: Graph, deadline):
                           {"fired": fired})
 
 
+# id -> check(g, deadline); a check raises ShapeError when g is outside the
+# theorem's shape
 _REGISTRY = {
-    "small-critical-2": (lambda g: True, lambda g, d: _check_critical_value(
-        "small-critical-2", classify_small_critical(g) == 2, 2, g, d)),
-    "small-critical-3": (lambda g: True, lambda g, d: _check_critical_value(
-        "small-critical-3", classify_small_critical(g) == 3, 3, g, d)),
-    "leafy-unicyclic-4critical": (
-        is_leafy_unicyclic, lambda g, d: _check_critical_value(
-            "leafy-unicyclic-4critical",
-            classify_4critical_leafy_unicyclic(g), 4, g, d)),
-    "diam2": (lambda g: is_connected(g) and metric_summary(g).diameter == 2,
-              lambda g, d: check_diam2_characterization(g, deadline=d)),
-    "block-diam2": (lambda g: is_connected(g)
-                    and metric_summary(g).diameter == 2
-                    and block_decomposition(g).is_block_graph,
-                    lambda g, d: check_block_diam2(g, deadline=d)),
-    # the block graph test is the first step of the check itself
-    "block-diam3": (lambda g: is_connected(g)
-                    and metric_summary(g).diameter == 3,
-                    _check_block_diam3_shaped),
-    "tree-equivalence": (is_tree,
-                         lambda g, d: check_tree_equivalence(g, deadline=d)),
-    "edge-bound": (lambda g: g.n >= 1, _check_edge_bound),
-    "connected-critical": (lambda g: g.n >= 1, _check_connected_critical),
-    "vertex-critical-implication": (lambda g: g.n >= 1, _check_vertex_implication),
-    "detour-drop": (is_connected, _check_detour_drop),
+    "small-critical-2": lambda g, d: _check_critical_value(
+        "small-critical-2", classify_small_critical(g) == 2, 2, g, d),
+    "small-critical-3": lambda g, d: _check_critical_value(
+        "small-critical-3", classify_small_critical(g) == 3, 3, g, d),
+    "leafy-unicyclic-4critical": lambda g, d: _check_critical_value(
+        "leafy-unicyclic-4critical", classify_4critical_leafy_unicyclic(g),
+        4, g, d),
+    "diam2": check_diam2_characterization,
+    "block-diam2": check_block_diam2,
+    "block-diam3": check_block_diam3,
+    "tree-equivalence": check_tree_equivalence,
+    "edge-bound": _check_edge_bound,
+    "connected-critical": _check_connected_critical,
+    "vertex-critical-implication": _check_vertex_implication,
+    "detour-drop": _check_detour_drop,
 }
 
 
@@ -378,20 +370,19 @@ def theorem_ids():
 
 
 def theorem_check(theorem_id: str, g, deadline=None):
-    """Run one theorem's check on one graph.
+    """Run one theorem's check on one graph (a LabeledGraph is unwrapped).
 
-    Returns None when the graph fails the theorem's shape filter (for
-    block-diam3, its last part, being a block graph, is tested inside the
-    check).
+    Returns None when the check raises ShapeError, that is, when the graph
+    is outside the theorem's shape; every other error propagates.
     """
     if theorem_id not in _REGISTRY:
         raise ValueError("unknown theorem id %r" % (theorem_id,))
     if isinstance(g, LabeledGraph):
         g = g.graph
-    shape, run = _REGISTRY[theorem_id]
-    if not shape(g):
+    try:
+        return _REGISTRY[theorem_id](g, deadline)
+    except ShapeError:
         return None
-    return run(g, deadline)
 
 
 def verify_theorem(theorem_id: str, corpus, deadline=None) -> VerificationSummary:

@@ -9,6 +9,7 @@ owner order) so labels and tests stay stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .graphs import Graph, GraphError, connected_components, is_tree
 
@@ -35,39 +36,46 @@ def gen_basic(kind: str, n: int) -> LabeledGraph:
     if kind == "complete":
         if n < 1:
             raise ValueError("complete graph needs n >= 1")
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        return LabeledGraph(Graph.from_edges(n, edges))
+        return LabeledGraph(Graph.from_edges(n, combinations(range(n), 2)))
     if kind == "star":
         if n < 1:
             raise ValueError("star needs at least one leaf")
-        edges = [(0, i) for i in range(1, n + 1)]
-        return LabeledGraph(Graph.from_edges(n + 1, edges), {"hub": 0})
+        return LabeledGraph(_hang_leaves((), [n]), {"hub": 0})
     raise ValueError("unknown kind %r" % (kind,))
+
+
+def _hang_leaves(edges, leaf_counts, labels=None) -> Graph:
+    """The graph on core vertices 0..len(leaf_counts)-1 with the given edges
+    plus leaf_counts[v] pendant leaves on each core vertex v, numbered after
+    the core in owner order.  With labels, leaf j of v is recorded there as
+    "leaf[v][j]".  ValueError unless every count is an int >= 0.
+    """
+    edges = list(edges)
+    nxt = len(leaf_counts)
+    for v, count in enumerate(leaf_counts):
+        if type(count) is not int or count < 0:
+            raise ValueError("leaf counts must be nonnegative ints, got %r"
+                             % (count,))
+        for j in range(count):
+            edges.append((v, nxt))
+            if labels is not None:
+                labels["leaf[%d][%d]" % (v, j)] = nxt
+            nxt += 1
+    return Graph.from_edges(nxt, edges)
 
 
 def gen_sharpness_family(n: int) -> LabeledGraph:
     """Two n-cliques joined by a bridge, 2n-2 leaves per non-bridge clique
     vertex.  The value halves (2n-1 down to n) when the bridge goes.
 
-    Vertices: clique A = 0..n-1 with a = 0, clique B = n..2n-1 with b = n,
-    then leaves grouped by owner (A side first).
+    This is gen_realization(2n-1, n) with its edge "e" named "bridge":
+    clique A = 0..n-1 with a = 0, clique B = n..2n-1 with b = n, then
+    leaves grouped by owner (A side first).
     """
     if n < 2:
         raise ValueError("sharpness family needs n >= 2")
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append((i, j))
-            edges.append((n + i, n + j))
-    edges.append((0, n))
-    total = 2 * n
-    owners = [v for v in range(1, n)] + [n + v for v in range(1, n)]
-    for owner in owners:
-        for _ in range(2 * n - 2):
-            edges.append((owner, total))
-            total += 1
-    g = Graph.from_edges(total, edges)
-    return LabeledGraph(g, {"a": 0, "b": n, "bridge": (0, n)})
+    lg = gen_realization(2 * n - 1, n)
+    return LabeledGraph(lg.graph, {"a": 0, "b": n, "bridge": lg.labels["e"]})
 
 
 def gen_realization(k: int, n: int) -> LabeledGraph:
@@ -83,26 +91,13 @@ def gen_realization(k: int, n: int) -> LabeledGraph:
     if not (k + 2) // 2 <= n <= k:
         raise ValueError("n must lie in [ceil((k+1)/2), k]")
     if n == k:
-        edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
-        edges.append((0, k))
+        edges = [*combinations(range(k), 2), (0, k)]
         return LabeledGraph(Graph.from_edges(k + 1, edges), {"e": (0, k)})
-    sizes = (n, k + 1 - n)
-    edges = []
-    for i in range(sizes[0]):
-        for j in range(i + 1, sizes[0]):
-            edges.append((i, j))
-    for i in range(sizes[1]):
-        for j in range(i + 1, sizes[1]):
-            edges.append((n + i, n + j))
-    edges.append((0, n))
-    total = n + sizes[1]
-    owners = [v for v in range(1, n)] + [n + v for v in range(1, sizes[1])]
-    for owner in owners:
-        for _ in range(k - 1):
-            edges.append((owner, total))
-            total += 1
-    g = Graph.from_edges(total, edges)
-    return LabeledGraph(g, {"a": 0, "b": n, "e": (0, n)})
+    edges = [*combinations(range(n), 2), *combinations(range(n, k + 1), 2),
+             (0, n)]
+    leaves = [0] + [k - 1] * (n - 1) + [0] + [k - 1] * (k - n)
+    return LabeledGraph(_hang_leaves(edges, leaves),
+                        {"a": 0, "b": n, "e": (0, n)})
 
 
 def gen_leafy_unicyclic(cycle_len: int, leaf_counts) -> LabeledGraph:
@@ -112,17 +107,23 @@ def gen_leafy_unicyclic(cycle_len: int, leaf_counts) -> LabeledGraph:
         raise ValueError("cycle length must be at least 3")
     if len(leaf_counts) != cycle_len:
         raise ValueError("need one leaf count per cycle vertex")
-    if any(c < 0 for c in leaf_counts):
-        raise ValueError("leaf counts must be nonnegative")
     edges = [(i, (i + 1) % cycle_len) for i in range(cycle_len)]
     labels = {"cycle[%d]" % i: i for i in range(cycle_len)}
-    nxt = cycle_len
-    for i, cnt in enumerate(leaf_counts):
-        for j in range(cnt):
-            edges.append((i, nxt))
-            labels["leaf[%d][%d]" % (i, j)] = nxt
-            nxt += 1
-    return LabeledGraph(Graph.from_edges(nxt, edges), labels)
+    return LabeledGraph(_hang_leaves(edges, leaf_counts, labels), labels)
+
+
+def caterpillar_from_profile(leaf_counts) -> LabeledGraph:
+    """Build the caterpillar with the given leaf count at each spine position.
+
+    Spine vertices come first (0..L-1 along the path), then leaves in spine
+    order.  Labels record the spine and each leaf slot.
+    """
+    counts = list(leaf_counts)
+    if not counts:
+        raise ValueError("need at least one spine position")
+    edges = [(i, i + 1) for i in range(len(counts) - 1)]
+    labels = {"spine[%d]" % i: i for i in range(len(counts))}
+    return LabeledGraph(_hang_leaves(edges, counts, labels), labels)
 
 
 def gen_net() -> LabeledGraph:
@@ -325,14 +326,9 @@ def enumerate_caterpillars(n: int):
                 yield (head,) + rest
 
     for spine in range(1, n + 1):
+        path = [(i, i + 1) for i in range(spine - 1)]
         for counts in compositions(n - spine, spine):
-            edges = [(i, i + 1) for i in range(spine - 1)]
-            nxt = spine
-            for i, cnt in enumerate(counts):
-                for _ in range(cnt):
-                    edges.append((i, nxt))
-                    nxt += 1
-            t = Graph.from_edges(n, edges)
+            t = _hang_leaves(path, counts)
             code = tree_canonical_code(t)
             if code not in seen:
                 seen.add(code)
@@ -344,7 +340,8 @@ def enumerate_caterpillars(n: int):
 
 
 def _side_multisets(budget: int):
-    """Sorted tuples of side-block orders (each >= 2) costing sum(t-1) <= budget."""
+    """Sorted tuples of block orders (each >= 2) costing sum(t-1) <= budget,
+    in depth-first order from ()."""
     out = [()]
     def rec(prefix, minimum, left):
         for t in range(minimum, left + 2):
@@ -360,21 +357,14 @@ def enumerate_block_graphs_diam2(max_n: int):
     isomorphism class: a hub vertex shared by at least two complete blocks."""
     if max_n < 3:
         return
-    def rec(prefix, minimum, left):
-        if len(prefix) >= 2:
-            yield prefix
-        for t in range(minimum, left + 2):
-            if t - 1 <= left:
-                yield from rec(prefix + (t,), t, left - (t - 1))
-    for orders in rec((), 2, max_n - 1):
+    for orders in _side_multisets(max_n - 1):
+        if len(orders) < 2:
+            continue
         edges = []
         nxt = 1
         for t in orders:
-            block = [0] + list(range(nxt, nxt + t - 1))
+            edges.extend(combinations([0, *range(nxt, nxt + t - 1)], 2))
             nxt += t - 1
-            for i in range(len(block)):
-                for j in range(i + 1, len(block)):
-                    edges.append((block[i], block[j]))
         yield LabeledGraph(Graph.from_edges(nxt, edges), {"hub": 0})
 
 
@@ -409,17 +399,11 @@ def enumerate_block_graphs_diam3(max_n: int):
         for combo in assign(0, budget, ()):
             if sum(1 for ms in combo if ms) < 2:
                 continue
-            edges = []
-            for i in range(b):
-                for j in range(i + 1, b):
-                    edges.append((i, j))
+            edges = list(combinations(range(b), 2))
             nxt = b
             labels = {"central[%d]" % i: i for i in range(b)}
             for i, ms in enumerate(combo):
                 for t in ms:
-                    block = [i] + list(range(nxt, nxt + t - 1))
+                    edges.extend(combinations([i, *range(nxt, nxt + t - 1)], 2))
                     nxt += t - 1
-                    for x in range(len(block)):
-                        for y in range(x + 1, len(block)):
-                            edges.append((block[x], block[y]))
             yield LabeledGraph(Graph.from_edges(nxt, edges), labels)

@@ -101,6 +101,10 @@ class TestProfile:
             caterpillar_from_profile([])
         with pytest.raises(ValueError):
             caterpillar_from_profile([1, -1])
+        with pytest.raises(ValueError):
+            caterpillar_from_profile([1.5, 2])
+        with pytest.raises(ValueError):
+            caterpillar_from_profile([True, 2])
 
 
 class TestDecide:

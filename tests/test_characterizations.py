@@ -22,6 +22,7 @@ from packcrit import (
     theorem_ids,
     verify_theorem,
 )
+from packcrit import characterizations
 from packcrit.corpus import connected_graphs
 
 
@@ -224,10 +225,53 @@ class TestRegistry:
         with pytest.raises(ValueError):
             theorem_check("no-such-theorem", path(2))
 
+    # the shapes each theorem checks among K0, K1, 2K2, C4, P4 and the net
+    SHAPES = {
+        "K0": lambda: Graph.empty(0),
+        "K1": lambda: Graph.empty(1),
+        "2K2": lambda: Graph.from_edges(4, [(0, 1), (2, 3)]),
+        "C4": lambda: cycle(4),
+        "P4": lambda: path(4),
+        "net": lambda: gen_net().graph,
+    }
+    ALL_BUT_K0 = {"K1", "2K2", "C4", "P4", "net"}
+    CHECKED = {
+        "small-critical-2": {"K0"} | ALL_BUT_K0,
+        "small-critical-3": {"K0"} | ALL_BUT_K0,
+        "leafy-unicyclic-4critical": {"C4", "net"},
+        "diam2": {"C4"},
+        "block-diam2": set(),
+        "block-diam3": {"P4", "net"},
+        "tree-equivalence": {"K1", "P4"},
+        "edge-bound": ALL_BUT_K0,
+        "connected-critical": ALL_BUT_K0,
+        "vertex-critical-implication": ALL_BUT_K0,
+        "detour-drop": {"K0", "K1", "C4", "P4", "net"},
+    }
+
     def test_shape_skip_returns_none(self):
         assert theorem_check("tree-equivalence", cycle(3)) is None
         assert theorem_check("diam2", path(4)) is None
         assert theorem_check("detour-drop", Graph.empty(2)) is None
+        assert sorted(self.CHECKED) == theorem_ids()
+        for tid, checked in self.CHECKED.items():
+            for shape, build in self.SHAPES.items():
+                v = theorem_check(tid, build())
+                if shape in checked:
+                    assert v is not None and v.theorem_id == tid and v.agree, \
+                        (tid, shape)
+                else:
+                    assert v is None, (tid, shape)
+
+    def test_other_errors_propagate(self, monkeypatch):
+        # only ShapeError means "outside the shape"; a ValueError raised
+        # inside a check is a failure of the check
+        def broken(g, deadline=None):
+            raise ValueError("solver failed")
+        monkeypatch.setattr(characterizations, "packing_chromatic_number",
+                            broken)
+        with pytest.raises(ValueError, match="solver failed"):
+            theorem_check("tree-equivalence", path(4))
 
     def test_labeled_graph_unwrapped(self):
         v = theorem_check("small-critical-2", gen_basic("path", 2))

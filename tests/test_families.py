@@ -113,6 +113,12 @@ class TestLeafyUnicyclic:
             gen_leafy_unicyclic(2, [0, 0])
         with pytest.raises(ValueError):
             gen_leafy_unicyclic(3, [1, 1])
+        with pytest.raises(ValueError):
+            gen_leafy_unicyclic(3, [1.5, 0, 0])
+        with pytest.raises(ValueError):
+            gen_leafy_unicyclic(3, [True, 0, 0])
+        with pytest.raises(ValueError):
+            gen_leafy_unicyclic(3, [-1, 0, 0])
 
     def test_named_graphs(self):
         net = gen_net().graph
