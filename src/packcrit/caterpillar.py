@@ -31,15 +31,31 @@ spine test gives the fields below their cap, which the saturating +1 bumps.
 
 The moves from a state depend only on the palette k, the state and the
 number of leaves at the position, and a position with k or more leaves has
-the same moves as one with k (at most k - 1 colors are left for them), so
-they are expanded once per (state, min(leaves, k)) and kept in a module
-table per palette for later calls.  Its size is bounded by the whole
-automaton for that palette: 12, 44, 205, 1,140, 7,119 and 48,688 entries
-for k = 2..7, about 31 MiB (tracemalloc) at k = 7 if a caller walks all
-of it.  Each position's frontier keeps the insertion order of the states
-it reached and the witness ends in the smallest final state, so the sweep
-and its witness are deterministic and do not depend on what the table held
-before.
+the same moves as one with k (at most k - 1 colors are left for them).  The
+sweep determinises this automaton lazily, as a regex engine does with a
+lazy DFA (Cox, "Regular Expression Matching Can Be Simple And Fast",
+2007).  Per palette, the packed states are numbered as they are found, so a
+frontier (the states reached at a position) is one int bitmask.  Each state
+is expanded once per l = min(leaves, k) into its successor mask, its bits
+in the predecessor masks of those successors, and its first move to each
+successor.  The expansions are kept for later calls and are bounded by the
+whole automaton: 12, 44, 205, 1,140, 7,119 and 48,688 (state, l) pairs
+for k = 2..7, about 54 MiB (tracemalloc) at k = 7 if a caller walks all of
+it; the cache budget below does not cover them.  A step ORs the successor
+masks of the frontier's states, expanding those not yet expanded at l.  A
+transition cache maps (l, frontier) to the next frontier, so sweeps that
+share a prefix of leaf counts, or reach a frontier another sweep has left,
+look their steps up.  The cache is charged the bits of its
+two masks plus _ENTRY_BITS for each entry, and is flushed whole once
+_CACHE_BITS (1 MiB) would be passed, so that charge bounds its memory.  The
+value-7 comb certificate (a 175-vertex comb and its 174 edge deletions)
+caches 586 transitions, 0.28 Mbit of masks, at k = 6.
+
+The forward pass keeps only the frontier of each position.  The witness
+ends in the smallest packed state of the last frontier; each step back
+takes the smallest packed state of the previous frontier that has a move
+there, then its first such move.  The rule reads neither the numbering nor
+the cache, so the witness does not depend on earlier calls.
 
 Every caterpillar has a packing 7-coloring (Goddard, Hedetniemi,
 Hedetniemi, Harris & Rall, "Broadcast chromatic numbers of graphs", Ars
@@ -50,7 +66,9 @@ instances; the test suite pins the two routes together.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import reduce
+from itertools import accumulate, combinations, count
+from operator import add, or_
 from typing import Optional
 
 from .families import caterpillar_component_profile
@@ -87,9 +105,9 @@ class _Layout:
 
 
 def _moves(state, cnt, k, lay):
-    """(next_state, (state, (spine_color, leaf_colorset))) for each legal
-    move from state at a spine position with cnt leaves, in the order the
-    sweep tries them."""
+    """(next_state, (spine_color, leaf_colorset)) for each legal move from
+    state at a spine position with cnt leaves, in the order the sweep tries
+    them."""
     out = []
     if not state & lay.flag:
         ok = lay.ready(state, lay.leaf_ok)
@@ -101,16 +119,118 @@ def _moves(state, cnt, k, lay):
                 # a leaf use sits one step off the spine, so its
                 # clearance starts at 1, not 0
                 x = x & ~lay.field[c] | 1 << lay.shift[c]
-            out.append((lay.advance(x) | lay.flag, (state, (1, S))))
+            out.append((lay.advance(x) | lay.flag, (1, S)))
     ok = lay.ready(state, lay.caps)
     for cs in range(2, k + 1):
         if ok >> lay.shift[cs] + lay.guard_shift & 1:
             x = state & ~lay.field[cs] & ~lay.flag
-            out.append((lay.advance(x), (state, (cs, ()))))
+            out.append((lay.advance(x), (cs, ())))
     return out
 
 
-# palette -> (layout, {min(leaf count, k): {state: _moves list}})
+def _bits(mask):
+    """The positions of the set bits of a nonzero mask, lowest first.
+
+    A narrow mask is peeled one low bit at a time.  On a wide one each peel
+    copies the whole int, so the runs of zeros between set bits come from
+    one split of the binary string instead, and the walk stays in C (the two
+    cost the same near 400 bits with 40 set).
+    """
+    if mask.bit_length() > 256:
+        return map(add, accumulate(map(len, bin(mask)[:2:-1].split("1"))),
+                   count())
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+# charge per cached transition on top of its two masks' bits: the key
+# tuple, the dict slot and two int headers, about 200 bytes
+_ENTRY_BITS = 1600
+# the transition cache of one palette is flushed whole past this many bits
+_CACHE_BITS = 1 << 23
+
+
+class _Automaton:
+    """The lazily determinised automaton of one palette k.
+
+    Packed states are numbered as they are found, so a frontier is an int
+    bitmask over those numbers.  For each leaf count l = min(leaves, k),
+    `done[l]` is the mask of the states expanded at l; for each of them
+    `succ[l][i]` is the mask of the states one move on from state i,
+    `pred[l][j]` the mask of the expanded states with a move to j, and
+    `first[l][i, j]` the first move from i to j in `_moves` order.
+    `cache` maps (l, frontier) to the next frontier.
+    """
+
+    def __init__(self, k):
+        self.k = k
+        self.lay = _Layout(k)
+        self.number = {}
+        self.packed = []
+        self.done: dict = {}
+        self.succ: dict = {}
+        self.pred: dict = {}
+        self.first: dict = {}
+        self.cache: dict = {}
+        self.cache_bits = 0
+        self.start = 1 << self._number(self.lay.caps)
+
+    def _number(self, state):
+        i = self.number.get(state)
+        if i is None:
+            i = self.number[state] = len(self.packed)
+            self.packed.append(state)
+        return i
+
+    def _expand(self, i, cnt):
+        pred = self.pred[cnt]
+        first = self.first[cnt]
+        mask = 0
+        for nstate, choice in _moves(self.packed[i], cnt, self.k, self.lay):
+            j = self._number(nstate)
+            if not mask >> j & 1:
+                mask |= 1 << j
+                pred[j] = pred.get(j, 0) | 1 << i
+                first[i, j] = choice
+        self.succ[cnt][i] = mask
+
+    def step(self, cnt, frontier):
+        """The frontier one spine position on, over a position with
+        cnt <= k leaves."""
+        key = (cnt, frontier)
+        nxt = self.cache.get(key)
+        if nxt is not None:
+            return nxt
+        done = self.done.get(cnt)
+        if done is None:
+            done = 0
+            self.succ[cnt] = {}
+            self.pred[cnt] = {}
+            self.first[cnt] = {}
+        new = frontier & ~done
+        if new:
+            for i in _bits(new):
+                self._expand(i, cnt)
+            self.done[cnt] = done | new
+        nxt = reduce(or_, map(self.succ[cnt].__getitem__, _bits(frontier)))
+        bits = frontier.bit_length() + nxt.bit_length() + _ENTRY_BITS
+        if self.cache_bits + bits > _CACHE_BITS:
+            self.cache.clear()
+            self.cache_bits = 0
+        self.cache[key] = nxt
+        self.cache_bits += bits
+        return nxt
+
+    def smallest(self, mask):
+        """Number of the smallest packed state in a nonempty mask."""
+        return self.number[min(map(self.packed.__getitem__, _bits(mask)))]
+
+
+# palette -> its _Automaton, kept for later calls
 _TABLES: dict = {}
 
 
@@ -118,35 +238,25 @@ def _sweep(counts, k):
     """Feasibility sweep; returns per-position (spine_color, leaf_colorset)
     choices for one valid coloring, or None.
 
-    Each position's frontier is a dict from the states reached to the
-    (previous state, choice) that first reached them, visited in insertion
-    order; the moves come from the palette's kept table.
+    The forward pass keeps one frontier mask per position, and the witness
+    follows the rule in the module docstring.
     """
-    entry = _TABLES.get(k)
-    if entry is None:
-        entry = _TABLES[k] = (_Layout(k), {})
-    lay, table = entry
-    frontier = (lay.caps,)
-    parents = []
-    for cnt in counts:
-        row = table.setdefault(min(cnt, k), {})
-        step: dict = {}
-        for state in frontier:
-            succ = row.get(state)
-            if succ is None:
-                succ = row[state] = _moves(state, cnt, k, lay)
-            for nstate, back in succ:
-                if nstate not in step:
-                    step[nstate] = back
-        if not step:
+    auto = _TABLES.get(k)
+    if auto is None:
+        auto = _TABLES[k] = _Automaton(k)
+    cnts = [min(cnt, k) for cnt in counts]
+    frontiers = [auto.start]
+    for cnt in cnts:
+        frontier = auto.step(cnt, frontiers[-1])
+        if not frontier:
             return None
-        parents.append(step)
-        frontier = step
+        frontiers.append(frontier)
     choices = []
-    state = min(frontier)
-    for step in reversed(parents):
-        state, choice = step[state]
-        choices.append(choice)
+    j = auto.smallest(frontiers[-1])
+    for cnt, frontier in zip(reversed(cnts), reversed(frontiers[:-1])):
+        i = auto.smallest(auto.pred[cnt][j] & frontier)
+        choices.append(auto.first[cnt][i, j])
+        j = i
     choices.reverse()
     return choices
 

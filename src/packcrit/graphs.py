@@ -52,6 +52,17 @@ class Graph:
         self._dist = None
 
     @classmethod
+    def _trusted(cls, n: int, rows: tuple) -> "Graph":
+        """A graph on rows already known to be valid, without the checks;
+        for graphs derived from a valid Graph."""
+        g = object.__new__(cls)
+        g.n = n
+        g.rows = rows
+        g._edges = None
+        g._dist = None
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         rows = [0] * n
         for u, v in edges:
@@ -251,7 +262,7 @@ def delete_edge(g: Graph, e) -> Graph:
     rows = list(g.rows)
     rows[u] &= ~(1 << v)
     rows[v] &= ~(1 << u)
-    return Graph(g.n, rows)
+    return Graph._trusted(g.n, tuple(rows))
 
 
 def induced_subgraph(g: Graph, vertices):
@@ -272,7 +283,7 @@ def induced_subgraph(g: Graph, vertices):
             if u in index:
                 rows[new] |= 1 << index[u]
             m &= m - 1
-    return Graph(len(kept), rows), kept
+    return Graph._trusted(len(kept), tuple(rows)), kept
 
 
 def delete_vertex(g: Graph, v: int):

@@ -1,3 +1,6 @@
+import random
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,10 +25,71 @@ from packcrit import (
 )
 from packcrit import caterpillar
 from packcrit.canon import canonical_key
+from packcrit.corpus import load_corpus
+from packcrit.families import caterpillar_component_profile
+from packcrit.graphs import connected_components
 
 
 def comb(length, teeth):
     return caterpillar_from_profile([teeth] * length).graph
+
+
+@lru_cache(maxsize=None)
+def _layout(k):
+    return caterpillar._Layout(k)
+
+
+@lru_cache(maxsize=None)
+def _reference_moves(state, cnt, k):
+    return tuple(caterpillar._moves(state, cnt, k, _layout(k)))
+
+
+def dict_frontier_sweep(counts, k):
+    """The sweep on dict frontiers: each position's frontier maps the
+    packed states reached to the (previous state, choice) that first
+    reached them, visited in insertion order, and the witness ends in the
+    smallest final state.  The reference for _sweep's feasibility."""
+    frontier = (_layout(k).caps,)
+    parents = []
+    for cnt in counts:
+        step: dict = {}
+        for state in frontier:
+            for nstate, choice in _reference_moves(state, min(cnt, k), k):
+                if nstate not in step:
+                    step[nstate] = (state, choice)
+        if not step:
+            return None
+        parents.append(step)
+        frontier = step
+    choices = []
+    state = min(frontier)
+    for step in reversed(parents):
+        state, choice = step[state]
+        choices.append(choice)
+    choices.reverse()
+    return choices
+
+
+def reference_colorable(g, k):
+    """Whether every component of the caterpillar forest g passes the
+    dict-frontier sweep at palette k."""
+    if k <= 0:
+        return g.n == 0
+    palette = min(k, caterpillar.MAX_PALETTE)
+    return all(
+        dict_frontier_sweep(caterpillar_component_profile(g.rows, comp)[0],
+                            palette) is not None
+        for comp in connected_components(g))
+
+
+def comb_certificate(g, value):
+    """The deletion-criticality certificate of a comb: decisions on g at
+    value - 1 and value, then on every G-e at value - 1."""
+    out = [decide_caterpillar_k_colorable(g, value - 1),
+           decide_caterpillar_k_colorable(g, value)]
+    out += [decide_caterpillar_k_colorable(delete_edge(g, e), value - 1)
+            for e in g.edges]
+    return out
 
 
 # three legs of length two from a center: smallest non-caterpillar tree
@@ -202,7 +266,30 @@ class TestKeptTable:
                 g, decide_caterpillar_k_colorable(g, 5))
         for teeth in range(61):
             decide_caterpillar_k_colorable(comb(6, teeth), 5)
-        assert sum(map(len, caterpillar._TABLES[5][1].values())) <= 1140
+        assert sum(map(len, caterpillar._TABLES[5].succ.values())) <= 1140
+
+    def test_tiny_cache_budget(self, monkeypatch):
+        # flushing the transition cache changes neither answers nor witnesses
+        g = comb(35, 4)
+        monkeypatch.setattr(caterpillar, "_TABLES", {})
+        want = comb_certificate(g, 7)
+        budget = 3 * caterpillar._ENTRY_BITS
+        monkeypatch.setattr(caterpillar, "_CACHE_BITS", budget)
+        monkeypatch.setattr(caterpillar, "_TABLES", {})
+        step = caterpillar._Automaton.step
+        seen = []
+
+        def checked_step(auto, cnt, frontier):
+            nxt = step(auto, cnt, frontier)
+            held = sum(f.bit_length() + m.bit_length() + caterpillar._ENTRY_BITS
+                       for (_, f), m in auto.cache.items())
+            assert held == auto.cache_bits <= budget
+            seen.append(len(auto.cache))
+            return nxt
+
+        monkeypatch.setattr(caterpillar._Automaton, "step", checked_step)
+        assert comb_certificate(g, 7) == want
+        assert max(seen) <= 2 and len(seen) > 6000
 
     def test_history_independent(self, monkeypatch):
         monkeypatch.setattr(caterpillar, "_TABLES", {})
@@ -216,6 +303,59 @@ class TestKeptTable:
         assert decide_caterpillar_k_colorable(g, k) == first
         monkeypatch.setattr(caterpillar, "_TABLES", {})
         assert decide_caterpillar_k_colorable(g, k) == first
+
+
+class TestReferenceKernel:
+    """The bitset kernel against the dict-frontier sweep."""
+
+    def test_caterpillar_corpus_and_deletions(self):
+        for g in load_corpus("caterpillars-le12"):
+            for h in [g] + [delete_edge(g, e) for e in g.edges]:
+                chi = caterpillar_chi_rho(h)
+                for k in (chi, chi - 1):
+                    colors = decide_caterpillar_k_colorable(h, k)
+                    assert (colors is not None) == reference_colorable(h, k), \
+                        (emit_graph6(h), k)
+                    if colors is not None:
+                        assert is_valid_packing_coloring(h, colors)
+                        assert max(colors, default=0) <= k
+
+    def test_comb_certificate(self):
+        g = comb(35, 4)
+        got = comb_certificate(g, 7)
+        graphs = [g, g] + [delete_edge(g, e) for e in g.edges]
+        palettes = [6, 7] + [6] * len(g.edges)
+        assert len(got) == 176
+        for h, k, colors in zip(graphs, palettes, got):
+            assert (colors is not None) == reference_colorable(h, k)
+            if colors is not None:
+                assert is_valid_packing_coloring(h, colors)
+                assert max(colors) <= k
+        assert got[0] is None and got[1] is not None
+        assert all(colors is not None for colors in got[2:])
+
+    def test_bit_walk(self):
+        rng = random.Random(0)
+        for width in (1, 2, 64, 256, 257, 400, 3000):
+            for _ in range(20):
+                mask = rng.getrandbits(width) | 1 << width - 1
+                assert list(caterpillar._bits(mask)) == \
+                    [i for i in range(width) if mask >> i & 1]
+
+    def test_wide_frontiers(self, monkeypatch):
+        # long profiles at palettes 6 and 7 reach frontiers wider than the
+        # 256 bits past which _bits splits the binary string
+        monkeypatch.setattr(caterpillar, "_TABLES", {})
+        rng = random.Random(5)
+        for k in (6, 7):
+            for _ in range(4):
+                counts = [rng.randrange(k + 1) for _ in range(40)]
+                g = caterpillar_from_profile(counts).graph
+                colors = decide_caterpillar_k_colorable(g, k)
+                assert (colors is not None) == reference_colorable(g, k)
+                if colors is not None:
+                    assert is_valid_packing_coloring(g, colors)
+            assert len(caterpillar._TABLES[k].packed) > 256
 
 
 class TestFrozenThresholds:

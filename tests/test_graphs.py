@@ -23,7 +23,7 @@ from packcrit import (
     metric_summary,
     support_vertices,
 )
-from packcrit.corpus import load_corpus
+from packcrit.corpus import all_graphs, load_corpus
 
 
 def path(n):
@@ -214,6 +214,16 @@ class TestSurgery:
         g, kept = delete_vertex(path(4), 0)
         assert kept == (1, 2, 3)
         assert g.edges == ((0, 1), (1, 2))
+
+    def test_unchecked_deletions_match_checked_graphs(self):
+        # deletions skip Graph's checks; they must build what the checks pass
+        for g in all_graphs(6):
+            derived = [delete_edge(g, e) for e in g.edges]
+            derived += [delete_vertex(g, v)[0] for v in range(g.n)]
+            for h in derived:
+                assert type(h.rows) is tuple
+                assert h == Graph(h.n, h.rows)
+                assert h.edges == Graph(h.n, h.rows).edges
 
     def test_disjoint_union(self):
         g = disjoint_union(path(2), path(3))
