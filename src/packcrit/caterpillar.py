@@ -1,6 +1,9 @@
 """Exact packing colorings of caterpillars in polynomial time.
 
 A caterpillar is a tree whose non-leaf vertices form a path (the spine).
+A forest is profiled in one pass over its adjacency rows
+(families.caterpillar_profiles), which walks each component's spine from
+its smaller end and reads the leaf count at every position.
 Distances between any two vertices are determined by their spine positions
 and whether each endpoint sits on the spine or hangs off it as a leaf, so
 a left-to-right sweep over the spine decides k-colorability with one small
@@ -71,8 +74,8 @@ from itertools import accumulate, combinations, count
 from operator import add, or_
 from typing import Optional
 
-from .families import caterpillar_component_profile
-from .graphs import Graph, connected_components
+from .families import caterpillar_profiles
+from .graphs import Graph
 
 # every caterpillar is packing 7-colorable (Goddard et al. 2008)
 MAX_PALETTE = 7
@@ -272,8 +275,7 @@ def decide_caterpillar_k_colorable(g: Graph, k: int) -> Optional[tuple]:
     """
     if g.n == 0:
         return ()
-    parts = [caterpillar_component_profile(g.rows, comp)
-             for comp in connected_components(g)]
+    parts = caterpillar_profiles(g.rows)
     if k <= 0:
         return None
     palette = min(k, MAX_PALETTE)
@@ -299,16 +301,14 @@ def decide_caterpillar_k_colorable(g: Graph, k: int) -> Optional[tuple]:
 def caterpillar_chi_rho(g: Graph) -> int:
     """Exact packing chromatic number of a caterpillar forest.
 
-    Every component is profiled once, before any sweep, and swept at rising
-    palettes from the largest value found so far, so the value is the
-    maximum over components of their least sweeping palettes.  A
-    non-caterpillar component raises ValueError, and one that is not
+    The forest is profiled in one pass before any sweep, and each component
+    is swept at rising palettes from the largest value found so far, so the
+    value is the maximum over components of their least sweeping palettes.
+    A non-caterpillar component raises ValueError, and one that is not
     packing MAX_PALETTE-colorable raises AssertionError.
     """
-    profiles = [caterpillar_component_profile(g.rows, comp)[0]
-                for comp in connected_components(g)]
     value = 0
-    for counts in profiles:
+    for counts, _, _ in caterpillar_profiles(g.rows):
         value = max(value, 1)
         while _sweep(counts, value) is None:
             if value == MAX_PALETTE:

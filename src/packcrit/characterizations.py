@@ -86,34 +86,20 @@ def classify_small_critical(g: Graph):
     return None
 
 
-def _two_core(g: Graph):
-    # iterated leaf stripping; returns the surviving vertex set
-    degrees = [g.degree(v) for v in range(g.n)]
-    alive = set(range(g.n))
-    queue = [v for v in alive if degrees[v] <= 1]
-    while queue:
-        v = queue.pop()
-        if v not in alive:
-            continue
-        alive.discard(v)
-        for u in g.neighbors(v):
-            if u in alive:
-                degrees[u] -= 1
-                if degrees[u] <= 1:
-                    queue.append(u)
-    return alive
-
-
 def _leafy_cycle(g: Graph):
-    """The cycle's vertex set when g is leafy unicyclic, else None."""
-    if g.n < 3 or not is_connected(g) or g.edge_count != g.n:
+    """The cycle's vertex set when g is leafy unicyclic, else None.
+
+    A connected graph on three or more vertices has no two adjacent leaves,
+    so it is leafy unicyclic iff its non-leaf vertices induce a 2-regular
+    graph, and that graph is then the cycle.
+    """
+    if g.n < 3 or not is_connected(g):
         return None
-    cycle = _two_core(g)
-    for v in range(g.n):
-        if v in cycle:
-            continue
-        if g.degree(v) != 1 or g.neighbors(v)[0] not in cycle:
-            return None
+    rows = g.rows
+    cycle = {v for v in range(g.n) if rows[v] & (rows[v] - 1)}
+    mask = sum(1 << v for v in cycle)
+    if any((rows[v] & mask).bit_count() != 2 for v in cycle):
+        return None
     return cycle
 
 

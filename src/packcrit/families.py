@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graphs import Graph, GraphError, connected_components, is_tree
+from .graphs import Graph, GraphError, is_tree
 
 
 @dataclass(frozen=True)
@@ -143,52 +143,53 @@ def gen_decorated_c8() -> LabeledGraph:
     return gen_leafy_unicyclic(8, [1, 0, 0, 1, 0, 0, 0, 0])
 
 
-def caterpillar_component_profile(rows, comp):
-    """(leaf_counts, spine, leaves) of the component with sorted vertex list
-    comp of the graph with adjacency rows, in the graph's own vertex ids;
-    ValueError when it is not a caterpillar.
+def caterpillar_profiles(rows):
+    """(leaf_counts, spine, leaves) of every component of the graph with
+    adjacency rows, in its own vertex ids, ordered by the smaller end of
+    each spine; ValueError unless every component is a caterpillar.
 
-    It is a tree iff its degrees sum to 2(|comp| - 1), and then a
-    caterpillar iff no interior vertex has three interior neighbors; the
-    spine is walked from its smallest end.
+    The interior vertices are those of degree at least two.  A spine is
+    walked from each unseen end (an interior vertex with at most one
+    interior neighbor, or a vertex of degree at most one whose neighbor is
+    not interior), and each spine vertex takes its other neighbors as
+    leaves.  A walked vertex with three interior neighbors is a branch, and
+    an interior vertex no walk reaches lies on a cycle, which has no end.
     """
-    size = len(comp)
-    if sum(rows[v].bit_count() for v in comp) != 2 * (size - 1):
-        raise ValueError("graph is not a connected caterpillar")
-    if size == 1:
-        return (0,), (comp[0],), ((),)
-    if size == 2:
-        return (1,), (comp[0],), ((comp[1],),)
-    interior = [v for v in comp if rows[v] & (rows[v] - 1)]
     inner = 0
-    for v in interior:
-        inner |= 1 << v
-    ends = []
-    for v in interior:
-        d = (rows[v] & inner).bit_count()
-        if d > 2:
-            raise ValueError("graph is not a connected caterpillar")
-        if d <= 1:
-            ends.append(v)
-    cur = ends[0]
-    spine = [cur]
-    seen = 1 << cur
-    while True:
-        nxt = rows[cur] & inner & ~seen
-        if not nxt:
-            break
-        cur = nxt.bit_length() - 1
-        spine.append(cur)
-        seen |= nxt
-    leaves = []
-    for s in spine:
-        out = []
-        m = rows[s] & ~inner
-        while m:
-            out.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        leaves.append(tuple(out))
-    return tuple(len(t) for t in leaves), tuple(spine), tuple(leaves)
+    for v, row in enumerate(rows):
+        if row & (row - 1):
+            inner |= 1 << v
+    seen = 0
+    out = []
+    for v, row in enumerate(rows):
+        link = row & inner
+        if seen >> v & 1 or link and (link & (link - 1) or not inner >> v & 1):
+            continue
+        spine, leaves = [], []
+        cur = v
+        seen |= 1 << v
+        while True:
+            link = row & inner
+            if link.bit_count() > 2:
+                raise ValueError("graph is not a caterpillar forest")
+            spine.append(cur)
+            m = row & ~inner
+            seen |= m
+            hung = []
+            while m:
+                hung.append((m & -m).bit_length() - 1)
+                m &= m - 1
+            leaves.append(tuple(hung))
+            nxt = link & ~seen
+            if not nxt:
+                break
+            seen |= nxt
+            cur = nxt.bit_length() - 1
+            row = rows[cur]
+        out.append((tuple(map(len, leaves)), tuple(spine), tuple(leaves)))
+    if inner & ~seen:
+        raise ValueError("graph is not a caterpillar forest")
+    return out
 
 
 def caterpillar_profile(g: Graph):
@@ -200,10 +201,10 @@ def caterpillar_profile(g: Graph):
     a connected caterpillar.  Orientation is fixed by smallest endpoint so
     repeated calls agree.
     """
-    comps = connected_components(g)
-    if len(comps) != 1:
+    profiles = caterpillar_profiles(g.rows)
+    if len(profiles) != 1:
         raise ValueError("graph is not a connected caterpillar")
-    return caterpillar_component_profile(g.rows, comps[0])
+    return profiles[0]
 
 
 def is_caterpillar(g: Graph) -> bool:

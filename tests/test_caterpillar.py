@@ -25,8 +25,8 @@ from packcrit import (
 )
 from packcrit import caterpillar
 from packcrit.canon import canonical_key
-from packcrit.corpus import load_corpus
-from packcrit.families import caterpillar_component_profile
+from packcrit.corpus import all_graphs, load_corpus
+from packcrit.families import caterpillar_profiles
 from packcrit.graphs import connected_components
 
 
@@ -42,6 +42,42 @@ def _layout(k):
 @lru_cache(maxsize=None)
 def _reference_moves(state, cnt, k):
     return tuple(caterpillar._moves(state, cnt, k, _layout(k)))
+
+
+def caterpillar_component_profile(rows, comp):
+    """(leaf_counts, spine, leaves) of the component with sorted vertex list
+    comp, or ValueError: a degree-sum tree test, then a spine walked from
+    its smallest end.  The reference for caterpillar_profiles."""
+    size = len(comp)
+    if sum(rows[v].bit_count() for v in comp) != 2 * (size - 1):
+        raise ValueError("graph is not a connected caterpillar")
+    if size == 1:
+        return (0,), (comp[0],), ((),)
+    if size == 2:
+        return (1,), (comp[0],), ((comp[1],),)
+    interior = [v for v in comp if rows[v] & (rows[v] - 1)]
+    inner = sum(1 << v for v in interior)
+    ends = []
+    for v in interior:
+        d = (rows[v] & inner).bit_count()
+        if d > 2:
+            raise ValueError("graph is not a connected caterpillar")
+        if d <= 1:
+            ends.append(v)
+    cur = ends[0]
+    spine = [cur]
+    seen = 1 << cur
+    while True:
+        nxt = rows[cur] & inner & ~seen
+        if not nxt:
+            break
+        cur = nxt.bit_length() - 1
+        spine.append(cur)
+        seen |= nxt
+    leaves = [tuple(u for u in range(len(rows))
+                    if rows[s] >> u & 1 and not inner >> u & 1)
+              for s in spine]
+    return tuple(len(t) for t in leaves), tuple(spine), tuple(leaves)
 
 
 def dict_frontier_sweep(counts, k):
@@ -169,6 +205,60 @@ class TestProfile:
             caterpillar_from_profile([1.5, 2])
         with pytest.raises(ValueError):
             caterpillar_from_profile([True, 2])
+
+
+def reference_profiles(g):
+    """Every component's reference profile, or None when one is not a
+    caterpillar."""
+    try:
+        return [caterpillar_component_profile(g.rows, comp)
+                for comp in connected_components(g)]
+    except ValueError:
+        return None
+
+
+class TestProfiles:
+    """caterpillar_profiles against the per-component reference."""
+
+    def assert_matches_reference(self, g):
+        want = reference_profiles(g)
+        if want is None:
+            with pytest.raises(ValueError):
+                caterpillar_profiles(g.rows)
+            return
+        got = caterpillar_profiles(g.rows)
+        assert set(got) == set(want), emit_graph6(g)
+        # one profile per component, ordered by the smaller spine end
+        assert len(got) == len(want)
+        ends = [spine[0] for _, spine, _ in got]
+        assert ends == sorted(ends)
+        assert all(spine[0] <= spine[-1] for _, spine, _ in got)
+
+    def test_all_graphs_on_seven_vertices(self):
+        for g in all_graphs(7):
+            self.assert_matches_reference(g)
+
+    @pytest.mark.parametrize("name", ["trees-le12", "caterpillars-le12"])
+    def test_corpus(self, name):
+        for g in load_corpus(name):
+            self.assert_matches_reference(g)
+
+    def test_comb_and_deletions(self):
+        g = comb(35, 4)
+        for h in [g] + [delete_edge(g, e) for e in g.edges]:
+            self.assert_matches_reference(h)
+
+    @pytest.mark.parametrize("g", [
+        gen_basic("cycle", 4).graph,
+        Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]),
+        SPIDER,
+        Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]),
+        Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]),
+    ], ids=["C4", "C4-pendant", "spider", "triangle-tail", "path-triangle"])
+    def test_rejects(self, g):
+        with pytest.raises(ValueError):
+            caterpillar_profiles(g.rows)
+        assert reference_profiles(g) is None
 
 
 class TestDecide:

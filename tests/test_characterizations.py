@@ -23,7 +23,8 @@ from packcrit import (
     verify_theorem,
 )
 from packcrit import characterizations
-from packcrit.corpus import connected_graphs
+from packcrit.corpus import all_graphs, connected_graphs
+from packcrit.graphs import is_connected
 
 
 def path(n):
@@ -68,6 +69,48 @@ class TestLeafyUnicyclicPredicate:
         # two cycles sharing a vertex has m = n + 1
         bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
         assert not is_leafy_unicyclic(bowtie)
+
+
+def two_core(g):
+    """The vertices left after stripping leaves until none is left."""
+    degrees = [g.degree(v) for v in range(g.n)]
+    alive = set(range(g.n))
+    queue = [v for v in alive if degrees[v] <= 1]
+    while queue:
+        v = queue.pop()
+        if v not in alive:
+            continue
+        alive.discard(v)
+        for u in g.neighbors(v):
+            if u in alive:
+                degrees[u] -= 1
+                if degrees[u] <= 1:
+                    queue.append(u)
+    return alive
+
+
+def reference_leafy_cycle(g):
+    """The cycle of a leafy unicyclic graph, or None: the 2-core of a
+    connected graph with as many edges as vertices, with every other vertex
+    a leaf on it.  The reference for _leafy_cycle."""
+    if g.n < 3 or not is_connected(g) or g.edge_count != g.n:
+        return None
+    cycle = two_core(g)
+    for v in range(g.n):
+        if v not in cycle and (g.degree(v) != 1
+                               or g.neighbors(v)[0] not in cycle):
+            return None
+    return cycle
+
+
+class TestLeafyCycle:
+    def test_matches_reference_on_all_graphs_on_seven_vertices(self):
+        found = 0
+        for g in all_graphs(7):
+            want = reference_leafy_cycle(g)
+            assert characterizations._leafy_cycle(g) == want
+            found += want is not None
+        assert found > 0
 
 
 class TestFourCriticalClassifier:

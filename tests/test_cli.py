@@ -1,5 +1,10 @@
+import dataclasses
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 import types
 
@@ -75,6 +80,14 @@ class TestChirho:
         lines = out.strip().splitlines()
         assert lines[0].split("\t") == ["graph6", "n", "chi_rho", "nodes", "status"]
         assert lines[1].split("\t")[2] == "2"
+
+    def test_tsv_witness_cell_is_json(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))
+        code, out = run(capsys, ["chirho", "--witness", "--format", "tsv"])
+        header, row = (ln.split("\t") for ln in out.strip().splitlines())
+        assert code == 0
+        assert header[-1] == "witness"
+        assert sorted(json.loads(row[-1])) == [1, 2]
 
     def test_timeout_status(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(C7))
@@ -264,6 +277,24 @@ class TestCritical:
             assert r["edge_drop_profile"] == want
             assert r["bound_ok"] is True
 
+    def test_value_above_chi_fails_the_bound(self, capsys, monkeypatch):
+        # a deleted value above chi is a solver defect, which the row flags
+        # with bound_ok false and an empty profile instead of raising
+        real = cli.criticality_report
+
+        def broken(g, **kw):
+            rep = real(g, **kw)
+            e = next(iter(rep.edge_values))
+            return dataclasses.replace(
+                rep, edge_values={**rep.edge_values, e: rep.chi_rho + 1})
+        monkeypatch.setattr(cli, "criticality_report", broken)
+        monkeypatch.setattr("sys.stdin", io.StringIO("Cl\n"))  # C4
+        code, rep = run_json(capsys, ["critical"])
+        r = rep["results"][0]
+        assert code == 0 and r["status"] == "ok"
+        assert r["bound_ok"] is False
+        assert r["edge_drop_profile"] == {}
+
     def test_witnesses_serialized(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("Dqc\n"))  # C4 plus a pendant
         code, rep = run_json(capsys, ["critical", "--witness"])
@@ -425,6 +456,27 @@ class TestVerify:
         assert summary["timeouts"] == 1
         assert code == 0
 
+    def test_tsv_summary_line(self, capsys):
+        code, out = run(capsys, ["verify", "small-critical-3",
+                                 "--corpus", "connected-le5", "--format", "tsv"])
+        assert code == 0
+        assert out.splitlines() == [
+            "theorem_id\tgraph6\tstructural_verdict\tground_truth",
+            "# checked=31 skipped=0 timeouts=0 disagreements=0 errors=0"]
+
+    def test_tsv_disagreement_row(self, capsys, monkeypatch):
+        def fake_check(theorem_id, g, deadline=None):
+            return TheoremVerdict(theorem_id, emit_graph6(g), True, False,
+                                  False, None)
+        monkeypatch.setattr(cli, "theorem_check", fake_check)
+        monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))
+        code, out = run(capsys, ["verify", "small-critical-2",
+                                 "--format", "tsv"])
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "small-critical-2\tA_\tTrue\tFalse",
+            "# checked=1 skipped=0 timeouts=0 disagreements=1 errors=0"]
+
     def test_jobs_match_serial(self, capsys):
         # same rows and summary under --jobs 2; the summary sorts its lists
         argv = ["verify", "diam2", "--corpus", "connected-le7-diam2"]
@@ -451,3 +503,13 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+    def test_python_dash_m(self):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "packcrit", "chirho", "--corpus",
+             "connected-le5"], capture_output=True, text=True, env=env,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(proc.stdout)["results"]) == 31

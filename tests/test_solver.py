@@ -1,5 +1,6 @@
 import random
 import time
+import types
 
 import pytest
 
@@ -10,6 +11,7 @@ from packcrit import (
     SolveTimeout,
     all_pairs_distances,
     brute_force_chi_rho,
+    caterpillar_from_profile,
     decide_packing_k_colorable,
     delete_edge,
     disjoint_union,
@@ -23,6 +25,7 @@ from packcrit import (
     packing_lower_bound,
     parse_graph6,
 )
+from packcrit import solver
 from packcrit.corpus import all_graphs, connected_graphs, load_corpus
 from packcrit.graphs import max_independent_set
 from packcrit.solver import _PowerSums, _search, _twin_groups
@@ -657,3 +660,20 @@ class TestTimeout:
         with pytest.raises(SolveTimeout):
             decide_packing_k_colorable(gen_basic("cycle", 40).graph, 3,
                                        deadline=time.monotonic() - 1.0)
+
+    def test_deadline_polled_inside_the_search(self, monkeypatch):
+        # the clock reads 0 at the entry check and 2 afterwards, so only
+        # the search's own poll, at node 1,024, can see the deadline of 1
+        reads = []
+
+        def monotonic():
+            reads.append(None)
+            return 0.0 if len(reads) == 1 else 2.0
+        monkeypatch.setattr(solver, "time",
+                            types.SimpleNamespace(monotonic=monotonic))
+        # comb(12, 2) at k = 6 is satisfiable but takes 2,395,876 nodes
+        # without a hint
+        g = caterpillar_from_profile([2] * 12).graph
+        with pytest.raises(SolveTimeout, match="timed out"):
+            decide_packing_k_colorable(g, 6, deadline=1.0)
+        assert len(reads) == 2
