@@ -9,6 +9,7 @@ any disagreement means the implementation (not the mathematics) is wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .criticality import (
     EdgeBoundViolation,
@@ -316,12 +317,14 @@ def _check_detour_drop(g: Graph, deadline):
     diam = metric_summary(g).diameter
     fired = 0
     ok = True
+    # the coloring half depends on the pair only, so each pair is asked once
+    colorable = cache(lambda u, v: _detour_colorable(
+        g, u, v, diam, base.value, deadline))
     for e in g.edges:
         h = delete_edge(g, e)
         dh = all_pairs_distances(h)
         hits = sum(1 for u in range(g.n) for v in range(u + 1, g.n)
-                   if dh.distance(u, v) > diam
-                   and _detour_colorable(g, u, v, diam, base.value, deadline))
+                   if dh.distance(u, v) > diam and colorable(u, v))
         fired += hits
         # one drop test confirms the drop for every firing pair
         if hits and not _drops(h, range(g.n), base, deadline):

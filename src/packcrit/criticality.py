@@ -17,13 +17,11 @@ deletions are isomorphic: they share the value and the verdict, and a
 witness moves with the automorphism sigma as c'[sigma(v)] = c[v].  The value
 sweep (criticality_report, edge_drop_profile) starts each orbit's exact G-e
 or G-v walk from G's optimal witness restricted to the remaining vertices, a
-valid coloring since a deletion is a subgraph; the early-exit verdicts make
-one decision at chi(G) - 1 per orbit, up to the first that does not drop,
-except where a search-free bound on the deletion already reaches chi(G) and
-proves it does not drop: the solver's neighborhood_lower_bound, or else its
-power bound (packing_lower_bound, which counts components, so G - v and
-bridge deletions are covered).  Each decision tries the colors of that
-restricted witness first.
+valid coloring since a deletion is a subgraph.  The early-exit verdicts make
+one decision at chi(G) - 1 per orbit, hinted by that restricted witness and
+with no search-free bound before it, up to the first that does not drop, in
+fail-first order: the deletions that remove the fewest adjacencies, least
+likely to lower the value, go first.
 
 Deleting one edge can at most halve the value, in the precise sense
 chi(G) <= 2*chi(G-e) - 1, except in the degenerate situation where G-e is
@@ -46,12 +44,10 @@ from .graphs import (
 from .solver import (
     ChiRhoResult,
     PackingColoring,
-    _PowerSums,
     _color_tuple,
     _search,
     _twin_groups,
     is_valid_packing_coloring,
-    neighborhood_lower_bound,
     packing_chromatic_number,
 )
 
@@ -114,7 +110,10 @@ def _deletions(g: Graph, kind: str):
     (key, G - key, kept, others): key is the orbit's first member in g.edges
     or vertex order, kept[new_id] is the original vertex id, and others lists
     (other_key, sigma) for the rest of the orbit, sigma an automorphism of G
-    carrying key onto other_key."""
+    carrying key onto other_key.  Orbits come fail-first: by ascending
+    degree, edges by (smaller, larger) endpoint degree, ties in g.edges or
+    vertex order.  The deletion that removes the fewest adjacencies is the
+    one least likely to lower the value, so it is tested first."""
     group = [0] * g.n
     for i, members in enumerate(_twin_groups(g)):
         for v in members:
@@ -127,7 +126,8 @@ def _deletions(g: Graph, kind: str):
     else:
         for v in range(g.n):
             orbits.setdefault(group[v], []).append(v)
-    for rep, *others in orbits.values():
+    for rep, *others in sorted(orbits.values(), key=lambda orbit: sorted(
+            map(g.degree, orbit[0] if kind == "edge" else orbit[:1]))):
         h, kept = ((delete_edge(g, rep), range(g.n)) if kind == "edge"
                    else delete_vertex(g, rep))
         yield rep, h, kept, [(key, _carrier(g.n, group, rep, key))
@@ -214,15 +214,11 @@ def criticality_report(g: Graph, include_witnesses: bool = False,
 
 def _drops(h: Graph, kept, base: ChiRhoResult, deadline) -> bool:
     """chi(h) < chi(G) for a deletion h of G, given base, G's solve, and
-    kept[new_id] the original vertex id: False where h's
-    neighborhood_lower_bound or, asked next, its power bound
-    (solver.packing_lower_bound) reaches chi(G), else one decision at
-    chi(G) - 1 guided by G's witness restricted through kept."""
-    chi, colors = base.value, base.witness.colors
-    return (neighborhood_lower_bound(h, deadline) < chi
-            and not _PowerSums(h, None, deadline).closes(chi)
-            and _search(h, chi - 1, {}, deadline,
-                        [colors[v] for v in kept])[0] is not None)
+    kept[new_id] the original vertex id: one decision at chi(G) - 1 that
+    tries G's witness restricted through kept first, with no search-free
+    bound before it: most such searches end within 2n nodes, drop or not."""
+    return _search(h, base.value - 1, {}, deadline,
+                   [base.witness.colors[v] for v in kept])[0] is not None
 
 
 def _critical_given_chi(g: Graph, kind: str, base: ChiRhoResult,

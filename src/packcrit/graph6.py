@@ -73,7 +73,8 @@ def parse_graph6(s: str) -> Graph:
                 rows[row] |= 1 << col
                 rows[col] |= 1 << row
             pos -= 1
-    return Graph(n, rows)
+    # rows are built in pairs below n: symmetric, in range and loop-free
+    return Graph._trusted(n, tuple(rows))
 
 
 def emit_graph6(g: Graph) -> str:

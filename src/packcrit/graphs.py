@@ -54,7 +54,7 @@ class Graph:
     @classmethod
     def _trusted(cls, n: int, rows: tuple) -> "Graph":
         """A graph on rows already known to be valid, without the checks;
-        for graphs derived from a valid Graph."""
+        for graphs derived from a valid Graph or valid by construction."""
         g = object.__new__(cls)
         g.n = n
         g.rows = rows

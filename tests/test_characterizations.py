@@ -24,7 +24,14 @@ from packcrit import (
 )
 from packcrit import characterizations
 from packcrit.corpus import all_graphs, connected_graphs
-from packcrit.graphs import is_connected
+from packcrit.criticality import _detour_colorable
+from packcrit.graphs import (
+    all_pairs_distances,
+    delete_edge,
+    is_connected,
+    metric_summary,
+)
+from packcrit.solver import packing_chromatic_number
 
 
 def path(n):
@@ -332,3 +339,33 @@ class TestRegistry:
         s = verify_theorem("small-critical-3", connected_graphs(5))
         assert list(s.positives) == sorted(s.positives)
         assert len(s.positives) == 2
+
+
+def unmemoised_detour_drop(g):
+    """(fired, verdict) of the detour-drop check, asking the coloring half
+    again for every edge and confirming each drop with a full solve."""
+    chi = packing_chromatic_number(g).value
+    diam = metric_summary(g).diameter
+    fired, ok = 0, True
+    for e in g.edges:
+        h = delete_edge(g, e)
+        dist = all_pairs_distances(h).distance
+        hits = sum(1 for u in range(g.n) for v in range(u + 1, g.n)
+                   if dist(u, v) > diam
+                   and _detour_colorable(g, u, v, diam, chi, None))
+        fired += hits
+        if hits and packing_chromatic_number(h).value >= chi:
+            ok = False
+    return fired, ok
+
+
+class TestDetourDrop:
+    def test_memo_matches_pairwise_loop(self):
+        total = 0
+        for g in connected_graphs(6):
+            v = theorem_check("detour-drop", g)
+            fired, ok = unmemoised_detour_drop(g)
+            assert v.details == {"fired": fired}
+            assert v.agree == v.structural_verdict == ok
+            total += fired
+        assert total > 0

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from packcrit import Graph, Graph6Error, emit_graph6, parse_graph6, parse_graph6_lines
+from packcrit.corpus import corpus_names, load_corpus
+from packcrit.families import LabeledGraph
 
 
 # hand-decoded vectors: format is header byte(s) then upper-triangle bits
@@ -85,6 +87,26 @@ class TestRoundTrip:
     def test_long_header_empty_graph(self):
         g = Graph.empty(70)
         assert parse_graph6(emit_graph6(g)) == g
+
+
+class TestTrustedRows:
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_checked_constructor_agrees_on_corpus(self, name):
+        # the parser skips Graph's checks; its rows must pass them anyway
+        for g in load_corpus(name):
+            if isinstance(g, LabeledGraph):
+                g = g.graph
+            parsed = parse_graph6(emit_graph6(g))
+            assert Graph(parsed.n, parsed.rows) == parsed == g
+
+    def test_checked_constructor_agrees_on_long_headers(self):
+        rng = random.Random(26)
+        for n in (62, 63, 64, 90):
+            g = Graph.from_edges(n, [(u, v) for u in range(n)
+                                     for v in range(u + 1, n)
+                                     if rng.random() < 0.1])
+            parsed = parse_graph6(emit_graph6(g))
+            assert Graph(parsed.n, parsed.rows) == parsed == g
 
 
 class TestLines:

@@ -6,6 +6,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from packcrit.corpus import all_graphs, load_corpus
+from packcrit.criticality import _deletions, _drops
 from packcrit.graphs import max_independent_set
 from packcrit.solver import _PowerSums, _search, _twin_groups
 from packcrit import (
@@ -356,6 +357,49 @@ class TestTwinOrbitSweep:
             assert rep.vertex_values[v] == brute_force_chi_rho(h)
             assert is_valid_packing_coloring(h, colors)
             assert max(colors, default=0) == rep.vertex_values[v]
+        assert is_edge_critical(g) == rep.is_edge_critical
+        assert is_vertex_critical(g) == rep.is_vertex_critical
+
+
+def assert_fail_first_orbits(g):
+    """_deletions yields every twin orbit once, covering g.edges and
+    range(g.n), in non-decreasing fail-first key."""
+    for kind, members in (("edge", g.edges), ("vertex", range(g.n))):
+        seen, keys = [], []
+        for rep, h, kept, others in _deletions(g, kind):
+            seen += [rep] + [key for key, _ in others]
+            ends = rep if kind == "edge" else (rep,)
+            keys.append(sorted(g.degree(v) for v in ends))
+            for key, _ in others:
+                other_ends = key if kind == "edge" else (key,)
+                assert sorted(g.degree(v) for v in other_ends) == keys[-1]
+        assert sorted(seen) == list(members)
+        assert keys == sorted(keys)
+
+
+class TestFailFirstDeletions:
+    def test_orbits_exhaustive(self):
+        for g in all_graphs(6):
+            assert_fail_first_orbits(g)
+
+    @SETTINGS
+    @given(graphs_with_twins())
+    def test_orbits_with_twins(self, g):
+        assert_fail_first_orbits(g)
+
+    def test_drops_match_oracle(self):
+        # one hinted decision per deletion against the brute-force value
+        for g in all_graphs(6):
+            base = packing_chromatic_number(g)
+            for kind in ("edge", "vertex"):
+                for _, h, kept, _ in _deletions(g, kind):
+                    assert _drops(h, kept, base, None) == (
+                        brute_force_chi_rho(h) < base.value)
+
+    @SETTINGS
+    @given(st.one_of(graphs(), graphs_with_twins()))
+    def test_verdicts_match_report(self, g):
+        rep = criticality_report(g)
         assert is_edge_critical(g) == rep.is_edge_critical
         assert is_vertex_critical(g) == rep.is_vertex_critical
 
