@@ -89,19 +89,18 @@ class CriticalityReport:
 def _carrier(n: int, group, rep, key):
     """sigma, sigma[v] the image of v, that carries deletion rep onto key of
     the same orbit (two vertices of one twin group, or two edges between the
-    same groups, endpoints paired by group).  It is a product of swaps inside
-    twin groups, hence an automorphism of G."""
+    same groups, endpoints paired by group).  It maps rep, then key's members
+    outside rep, onto key, then rep's members outside key, position by
+    position, and fixes the rest: a permutation inside twin groups, hence an
+    automorphism of G."""
     if isinstance(rep, int):
         rep, key = (rep,), (key,)
     elif group[key[0]] != group[rep[0]]:
         key = key[::-1]
     sigma = list(range(n))
-    where = list(range(n))  # where[y]: the vertex sigma sends to y
-    for src, dst in zip(rep, key):
-        # follow sigma by the swap of sigma[src] and dst, both in one group
-        img, back = sigma[src], where[dst]
-        sigma[src], sigma[back] = dst, img
-        where[dst], where[img] = src, back
+    for src, dst in zip(rep + tuple(v for v in key if v not in rep),
+                        key + tuple(v for v in rep if v not in key)):
+        sigma[src] = dst
     return sigma
 
 

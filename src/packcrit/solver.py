@@ -34,44 +34,40 @@ the lowest high color left in a domain.  Masks that single out some high
 colors turn the rule off, and the hint's high colors are renamed into
 first-use order so that the hint survives it.
 
-The optimizer works per connected component.  It starts from the smallest
-palette among two constructed colorings (one maximum independent set colored
-1 and everything else distinct, or the least-legal-color greedy in label
-order) and the caller's start coloring, if given, restricted to the
-component; the start wins ties.  That palette is witnessed already, so the
-downward walk starts one below it and stops at the first infeasible palette
-or at the first palette a bound closes; each feasible search replaces the
-kept witness.  Two search-free bounds are asked, in this order, before each
-search.  The power bound (packing_lower_bound) counts colors over the whole
-graph: color class c is independent in G^c, the graph joining vertices at
-distance 1..c, so a packing k-coloring needs sum_{c=1..k} alpha(G^c) >= n.
-alpha(G) comes from the construction, and from the largest finite distance
-on alpha(G^c) is the number of components, so at diameter <= 2 the bound is
-n - alpha + 1 (Goddard et al. 2008), the palette of the independent-set
-construction, and no later step runs.  Only when it does not close the
-palette is neighborhood_lower_bound computed, once per component: it
+The optimizer works per connected component.  It starts from the caller's
+start coloring restricted to the component, if given, or else from the
+layered coloring: color 1 on a maximum independent set of G, then color c
+on a maximum independent set of G^c, the graph joining vertices at distance
+1..c, among the vertices still uncolored, one color per vertex from the
+largest finite distance on.  Every color takes at least one vertex, so it
+never uses more than n - alpha + 1 colors.  That palette is witnessed
+already, so the downward walk starts one below it and stops at the first
+infeasible palette or at the first palette a bound closes; each feasible
+search replaces the kept witness.  Two search-free bounds are asked, in
+this order, before each search.  The power bound (packing_lower_bound)
+counts colors over the whole graph: color class c is independent in G^c,
+so a packing k-coloring needs sum_{c=1..k} alpha(G^c) >= n.  alpha(G)
+comes from the same maximum independent set, and from the largest finite
+distance on alpha(G^c) is the number of components, so at diameter <= 2
+the bound is n - alpha + 1 (Goddard et al. 2008), the palette of the
+layered coloring there, and no search runs.  Only when it does not close
+the palette is neighborhood_lower_bound computed, once per component: it
 counts colors inside closed neighbourhoods (every color >= 2 appears at
 most once in one, color 1 on an independent set).  Where either bound
 meets the witnessed palette no unsatisfiable search is needed to prove
-optimality.  Where neither bound closes the first palette, one more
-coloring is built before the first search, once per component: the
-layered coloring puts color 1 on the construction's maximum independent
-set and color c on a maximum independent set of G^c among the vertices
-still uncolored, one color per vertex from the largest finite distance
-on, and stops once it reaches the palette in hand.  Every color takes at
-least one vertex, so it never uses more than n - alpha + 1 colors; when
-it uses fewer than the coloring in hand it replaces it and the bounds are
-asked again.  Each search of the walk is hinted with the coloring in hand,
-one palette up.  The conflict table of a search, the greedy construction
-and the rows of G^c all read the balls of the cached distance matrix (the
-ball of radius c around v holds the vertices at distance 1..c from v); the
-rows of G^c are built once per c and serve the power bound and the
-layered coloring alike.  A deadline reaches every search and the
-independence numbers behind the construction, both bounds and the layered
-coloring.  The search keeps its own stack, so no graph size meets
-Python's recursion limit.  Component witnesses are stitched
-back onto the original vertex ids.  The solver keeps no memo of its own
-between calls.
+optimality.  With a start, where neither bound closes its palette, the
+layered coloring is built once before the first search, stopping once it
+reaches the start's palette; when it uses fewer colors it replaces the
+start and the bounds are asked again.  Each search of the walk is hinted
+with the coloring in hand, one palette up.  The conflict table of a search
+and the rows of G^c read the balls of the cached distance matrix (the ball
+of radius c around v holds the vertices at distance 1..c from v); the rows
+of G^c are built once per c and serve the power bound and the layered
+coloring alike.  A deadline reaches every search and the independence
+numbers behind both bounds and the layered coloring.  The search keeps its
+own stack, so no graph size meets Python's recursion limit.  Component
+witnesses are stitched back onto the original vertex ids.  The solver
+keeps no memo of its own between calls.
 """
 
 from __future__ import annotations
@@ -398,28 +394,6 @@ def decide_packing_k_colorable(g: Graph, k: int, pinned=None, deadline=None):
                    deadline)[0]
 
 
-def _construction(g: Graph, deadline):
-    """(colors, first): the colors of the better of two search-free packing
-    colorings, a maximum independent set colored 1 and every other vertex
-    its own color, or the least-legal-color greedy in label order; first is
-    that independent set as a vertex mask."""
-    greedy = []
-    # classes[c]: the vertices the greedy has colored c so far
-    classes = [0]
-    for ball in all_pairs_distances(g).balls:
-        c = 1
-        while c < len(classes) and classes[c] & ball[min(c, len(ball) - 1)]:
-            c += 1
-        if c == len(classes):
-            classes.append(0)
-        classes[c] |= 1 << len(greedy)
-        greedy.append(c)
-    first = max_independent_set(g.rows, None, deadline)[1]
-    fresh = iter(range(2, g.n + 2))
-    spread = tuple(1 if first >> v & 1 else next(fresh) for v in range(g.n))
-    return min(spread, tuple(greedy), key=max), first
-
-
 def _greedy_independent(rows) -> int:
     """Size of an independent set of the graph with adjacency bitmask rows,
     picked greedily by least degree among the vertices still free; the
@@ -520,10 +494,9 @@ class _PowerSums:
 
         Every color c >= 2 takes at least one of the vertices left, so with
         first a maximum independent set the palette is at most
-        n - alpha + 1, that of the construction coloring first 1 and every
-        other vertex distinctly; the two are equal only when every class
-        past color 1 is a single vertex, which is the case at diameter
-        <= 2.  deadline is passed on to every alpha.
+        n - alpha + 1, with equality only when every class past color 1 is
+        a single vertex, which is the case at diameter <= 2; with cap
+        n + 1 it never returns None.  deadline is passed on to every alpha.
         """
         colors = [0] * self.g.n
         left = (1 << self.g.n) - 1
@@ -607,26 +580,25 @@ def neighborhood_lower_bound(g: Graph, deadline=None) -> int:
 
 def _component_value(g: Graph, start, deadline):
     """Chi-rho of a connected (or empty) graph: (value, colors, nodes),
-    walking down from the better of the construction and start (or None;
-    start wins ties) to the first infeasible palette or to the first
-    palette that the power bound or neighborhood_lower_bound closes.
-    Where neither bound closes the first palette, the layered coloring
-    (_PowerSums.layered) is tried once before any search, and replaces the
-    coloring in hand when it uses fewer colors; the bounds are then asked
-    again."""
+    walking down from start, or from the layered coloring
+    (_PowerSums.layered) when start is None, to the first infeasible
+    palette or to the first palette that the power bound or
+    neighborhood_lower_bound closes.  With a start, where neither bound
+    closes its palette, the layered coloring is tried once before any
+    search, and replaces the start when it uses fewer colors; the bounds
+    are then asked again."""
     if g.n == 0:
         return 0, (), 0
-    colors, first = _construction(g, deadline)
-    if start is not None and max(start) <= max(colors):
-        colors = start
+    alpha, first = max_independent_set(g.rows, None, deadline)
+    sums = _PowerSums(g, alpha, deadline)
+    colors = sums.layered(first, g.n + 1) if start is None else start
     k = max(colors)
-    sums = _PowerSums(g, first.bit_count(), deadline)
     floor = None
     nodes = 0
     while not sums.closes(k):
         if floor is None:
             floor = neighborhood_lower_bound(g, deadline)
-            if k > floor:
+            if k > floor and start is not None:
                 layered = sums.layered(first, k)
                 if layered is not None:
                     colors, k = layered, max(layered)
@@ -645,10 +617,12 @@ def _component_value(g: Graph, start, deadline):
 def packing_chromatic_number(g: Graph, start=None, deadline=None) -> ChiRhoResult:
     """Exact packing chromatic number with an optimal witness coloring.
 
-    start, when given, is a packing coloring of g, one color per vertex; the
-    walk begins below its palette when that beats the construction.  A start
-    that is not a packing coloring of g, one with a color that is not an
-    int >= 1 included, raises ValueError.
+    start, when given, is a packing coloring of g, one color per vertex;
+    each component's walk begins below the palette of its part of start,
+    or of the layered coloring when that uses fewer colors and no bound
+    closes the start's palette.  A start that is not a packing coloring of
+    g, one with a color that is not an int >= 1 included, raises
+    ValueError.
     """
     if start is not None:
         start = _color_tuple(start)

@@ -6,7 +6,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from packcrit.corpus import all_graphs, load_corpus
-from packcrit.criticality import _deletions, _drops
+from packcrit.criticality import _carrier, _deletions, _drops
 from packcrit.graphs import max_independent_set
 from packcrit.solver import _PowerSums, _search, _twin_groups
 from packcrit import (
@@ -243,7 +243,7 @@ def check_layered(g, cap):
         return _PowerSums(g, alpha, None).layered(first, cap)
 
     full = layered(g.n - alpha + 2)
-    # the palette is at most that of the independent-set construction
+    # the palette is at most n - alpha + 1
     assert full is not None and max(full) <= g.n - alpha + 1
     assert is_valid_packing_coloring(g, full)
     if g.n <= 8:
@@ -402,6 +402,41 @@ class TestFailFirstDeletions:
         rep = criticality_report(g)
         assert is_edge_critical(g) == rep.is_edge_critical
         assert is_vertex_critical(g) == rep.is_vertex_critical
+
+
+def assert_carriers(g):
+    """Every sigma that _carrier gives _deletions is a permutation that
+    moves vertices only inside twin groups, preserves adjacency and carries
+    the orbit's first member onto each other member."""
+    groups = distance_row_twins(g)
+    group = [0] * g.n
+    for i, members in enumerate(groups):
+        for v in members:
+            group[v] = i
+    for kind in ("edge", "vertex"):
+        for rep, _, _, others in _deletions(g, kind):
+            for key, sigma in others:
+                assert sigma == _carrier(g.n, group, rep, key)
+                assert sorted(sigma) == list(range(g.n))
+                assert all(group[sigma[v]] == group[v] for v in range(g.n))
+                for v in range(g.n):
+                    image = sum(1 << sigma[u] for u in g.neighbors(v))
+                    assert image == g.rows[sigma[v]]
+                if kind == "edge":
+                    assert tuple(sorted(sigma[v] for v in rep)) == key
+                else:
+                    assert sigma[rep] == key
+
+
+class TestCarrier:
+    def test_every_orbit_exhaustive(self):
+        for g in all_graphs(6):
+            assert_carriers(g)
+
+    @SETTINGS
+    @given(graphs_with_twins())
+    def test_every_orbit_with_twins(self, g):
+        assert_carriers(g)
 
 
 class TestDistances:

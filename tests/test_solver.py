@@ -14,6 +14,7 @@ from packcrit import (
     caterpillar_from_profile,
     decide_packing_k_colorable,
     delete_edge,
+    delete_vertex,
     disjoint_union,
     gen_basic,
     gen_realization,
@@ -300,15 +301,34 @@ class TestValues:
             assert_optimal_witness(g, res)
 
     def test_walk_starts_from_the_better_coloring(self):
-        # both constructions use 4 colors here, one more than the optimum
+        # the layered coloring uses 4 colors here, one more than the optimum
         g = TRIANGLE_WITH_TAIL
         plain = packing_chromatic_number(g)
         best = packing_chromatic_number(g, start=(3, 1, 1, 2, 2))
-        worse = packing_chromatic_number(g, start=(1, 2, 3, 4, 5))
-        assert plain.value == best.value == worse.value == 3
+        assert plain.value == best.value == 3
         assert_optimal_witness(g, best)
         assert best.node_count < plain.node_count
-        assert worse.node_count == plain.node_count
+        # every graph: no start, the all-distinct start and the optimal
+        # witness, and G's witness restricted to each G - v.  The
+        # all-distinct start is replaced by the layered coloring wherever a
+        # search runs, and the optimal witness leaves at most the walk's
+        # last, unsatisfiable search, whose nodes do not depend on the hint
+        for g in all_graphs(6):
+            want = brute_force_chi_rho(g)
+            plain = packing_chromatic_number(g)
+            best = packing_chromatic_number(g, start=plain.witness)
+            worse = packing_chromatic_number(g, start=range(1, g.n + 1))
+            for res in (plain, best, worse):
+                assert res.value == want
+                assert_optimal_witness(g, res)
+            assert worse.node_count == plain.node_count
+            assert best.node_count <= plain.node_count
+            for v in range(g.n):
+                h, kept = delete_vertex(g, v)
+                res = packing_chromatic_number(
+                    h, start=[plain.witness.colors[u] for u in kept])
+                assert res.value == brute_force_chi_rho(h)
+                assert_optimal_witness(h, res)
 
     def test_witness_as_start(self):
         # a PackingColoring is accepted as start, so one solve's witness
@@ -370,7 +390,7 @@ class TestValues:
 
     def test_diameter_two_solved_by_construction(self):
         # at diameter 2 chi = n - alpha + 1 (Goddard et al. 2008), the
-        # palette of the spread construction, so no search runs
+        # palette of the layered coloring, so no search runs
         for g in load_corpus("connected-le7-diam2"):
             res = packing_chromatic_number(g)
             assert res.node_count == 0
@@ -440,10 +460,11 @@ class TestLayered:
         ("K{aIADBG@?cB", 7),
     ])
     def test_layering_ends_the_walk_at_the_power_bound(self, code, chi):
-        # diameter-3 block graphs whose independent-set construction uses
-        # n - alpha + 1 = chi + 1 and chi + 2 colors; the layered coloring
-        # uses chi, which the power bound closes, so no search runs (the
-        # walk searched 19,582 and 10,764 nodes before the layering)
+        # diameter-3 block graphs with n - alpha + 1 = chi + 1 and chi + 2,
+        # the palette of one maximum independent set and the rest distinct;
+        # the layered coloring uses chi, which the power bound closes, so
+        # no search runs (the walk searched 19,582 and 10,764 nodes before
+        # the layering)
         g = parse_graph6(code)
         res = packing_chromatic_number(g)
         assert res.value == chi == packing_lower_bound(g)
