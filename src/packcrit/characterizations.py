@@ -140,7 +140,7 @@ def check_diam2_characterization(g: Graph, deadline=None) -> TheoremVerdict:
     the independence number, or separates some closed-neighborhood vertex
     from the opposite endpoint by distance >= 3 while a maximum independent
     set avoids both."""
-    if not is_connected(g) or metric_summary(g).diameter != 2:
+    if metric_summary(g).diameter != 2:
         raise ShapeError("characterization requires a connected graph of diameter 2")
     alpha = independence_number(g)[0]
     full = (1 << g.n) - 1
@@ -173,8 +173,6 @@ def check_diam2_characterization(g: Graph, deadline=None) -> TheoremVerdict:
 def check_block_diam2(g: Graph, deadline=None) -> TheoremVerdict:
     """Diameter-2 block graphs are deletion-critical exactly when they have
     no leaf."""
-    if not is_connected(g):
-        raise ShapeError("input must be connected")
     if metric_summary(g).diameter != 2:
         raise ShapeError("input must have diameter 2")
     if not block_decomposition(g).is_block_graph:
@@ -199,8 +197,6 @@ def classify_block_diam3(g: Graph) -> BlockDiam3Classification:
          neighbors (c3) -- and some central vertex satisfies c1 or c2.
     ShapeError when g is not a connected block graph of diameter 3.
     """
-    if g.n == 0 or not is_connected(g):
-        raise ShapeError("input must be connected")
     if metric_summary(g).diameter != 3:
         raise ShapeError("input must have diameter 3")
     bd = block_decomposition(g)

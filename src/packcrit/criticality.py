@@ -320,7 +320,8 @@ def detour_drop_criterion(g: Graph, e, u: int, v: int, deadline=None) -> bool:
     chi(G-e) < chi(G).  A missing edge or a vertex outside 0..n-1 raises
     ValueError.
     """
-    if not g.has_edge(*e):
+    a, b = e
+    if not (0 <= a < g.n and 0 <= b < g.n and g.has_edge(a, b)):
         raise ValueError("edge %r not present" % (e,))
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError("vertices %r, %r not both in the graph" % (u, v))

@@ -23,6 +23,15 @@ class SolveTimeout(Exception):
     """Deadline expired before the search finished."""
 
 
+def _members(mask):
+    """The vertices of a bitmask in increasing order."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
 class Graph:
     """Simple undirected graph; rows[v] is the neighbor set of v as a bitmask."""
 
@@ -86,12 +95,7 @@ class Graph:
 
     def neighbors(self, v: int):
         """Neighbors of v in increasing order."""
-        m = self.rows[v]
-        out = []
-        while m:
-            out.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        return out
+        return _members(self.rows[v])
 
     @property
     def edges(self):
@@ -222,37 +226,40 @@ def metric_summary(g: Graph) -> MetricSummary:
     return MetricSummary(diameter, radius, center, eccs)
 
 
+def _reach(rows, seed, avail):
+    """The vertices of the mask avail reachable from the vertices of the
+    mask seed by paths inside avail, as a mask (seed lies inside avail)."""
+    comp = frontier = seed
+    while frontier:
+        grow = 0
+        m = frontier
+        while m:
+            grow |= rows[(m & -m).bit_length() - 1]
+            m &= m - 1
+        frontier = grow & avail & ~comp
+        comp |= frontier
+    return comp
+
+
 def connected_components(g: Graph):
     """Vertex lists of the components, each sorted, ordered by smallest member."""
-    n = g.n
-    rows = g.rows
-    seen = 0
+    left = (1 << g.n) - 1
     comps = []
-    for s in range(n):
-        if (seen >> s) & 1:
-            continue
-        comp = 1 << s
-        frontier = 1 << s
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                nxt |= rows[(m & -m).bit_length() - 1]
-                m &= m - 1
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        verts = []
-        m = comp
-        while m:
-            verts.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        comps.append(verts)
+    while left:
+        comp = _reach(g.rows, left & -left, left)
+        left ^= comp
+        comps.append(_members(comp))
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    full = (1 << g.n) - 1
+    return g.n <= 1 or _reach(g.rows, 1, full) == full
+
+
+def _check_vertex(g: Graph, v):
+    if not 0 <= v < g.n:
+        raise GraphError("vertex %r outside graph" % (v,))
 
 
 def delete_edge(g: Graph, e) -> Graph:
@@ -272,8 +279,7 @@ def induced_subgraph(g: Graph, vertices):
     """
     kept = tuple(sorted(set(vertices)))
     for v in kept:
-        if not 0 <= v < g.n:
-            raise GraphError("vertex %r outside graph" % (v,))
+        _check_vertex(g, v)
     index = {old: new for new, old in enumerate(kept)}
     rows = [0] * len(kept)
     for new, old in enumerate(kept):
@@ -291,8 +297,7 @@ def delete_vertex(g: Graph, v: int):
 
     Returns (graph, kept) with kept[new_id] = original id.
     """
-    if not 0 <= v < g.n:
-        raise GraphError("vertex %r outside graph" % (v,))
+    _check_vertex(g, v)
     return induced_subgraph(g, [u for u in range(g.n) if u != v])
 
 
@@ -302,6 +307,7 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 
 def is_leaf(g: Graph, v: int) -> bool:
+    _check_vertex(g, v)
     return g.degree(v) == 1
 
 
@@ -316,12 +322,9 @@ def support_vertices(g: Graph):
 
 def is_simplicial(g: Graph, v: int) -> bool:
     """True when the neighborhood of v induces a clique."""
-    nb = g.neighbors(v)
-    for i, u in enumerate(nb):
-        for w in nb[i + 1:]:
-            if not g.has_edge(u, w):
-                return False
-    return True
+    _check_vertex(g, v)
+    nb = g.rows[v]
+    return all((g.rows[u] | 1 << u) & nb == nb for u in _members(nb))
 
 
 def is_tree(g: Graph) -> bool:
@@ -334,12 +337,7 @@ def independence_number(g: Graph, deadline=None):
     See max_independent_set, which this runs over all of g's vertices.
     """
     best, best_mask = max_independent_set(g.rows, None, deadline)
-    out = []
-    m = best_mask
-    while m:
-        out.append((m & -m).bit_length() - 1)
-        m &= m - 1
-    return best, frozenset(out)
+    return best, frozenset(_members(best_mask))
 
 
 def max_independent_set(rows, avail=None, deadline=None):
@@ -389,20 +387,9 @@ def max_independent_set(rows, avail=None, deadline=None):
         m = avail
         pieces = []
         while m:
-            bit = m & -m
-            comp = bit
-            frontier = bit
-            while frontier:
-                grow = 0
-                f = frontier
-                while f:
-                    b2 = f & -f
-                    f &= f - 1
-                    grow |= rows[b2.bit_length() - 1] & avail
-                frontier = grow & ~comp
-                comp |= frontier
+            comp = _reach(rows, m & -m, avail)
             pieces.append(comp)
-            m &= ~comp
+            m ^= comp
         if len(pieces) > 1:
             for comp in pieces:
                 s, c = solve(comp)
@@ -440,8 +427,7 @@ def exists_alpha_set_avoiding(g: Graph, forbidden) -> bool:
     """True iff some maximum independent set of g avoids every forbidden vertex."""
     avail = (1 << g.n) - 1
     for v in set(forbidden):
-        if not 0 <= v < g.n:
-            raise GraphError("vertex %r outside graph" % (v,))
+        _check_vertex(g, v)
         avail &= ~(1 << v)
     return (max_independent_set(g.rows, avail)[0]
             == max_independent_set(g.rows)[0])
@@ -460,82 +446,67 @@ class BlockDecomposition:
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Hopcroft-Tarjan block decomposition.  Requires a connected graph."""
-    if g.n == 0 or not is_connected(g):
-        raise GraphError("block decomposition requires a connected nonempty graph")
+    """Hopcroft-Tarjan block decomposition.  Requires a connected graph.
+
+    One depth-first search from vertex 0 over the adjacency rows.  A frame
+    holds a vertex and the mask of its neighbours not yet scanned, less the
+    parent's bit (a simple graph has one edge back to the parent).  When a
+    child v of p finishes with low[v] >= disc[p], the vertices entered since
+    v, v included, form one block together with p.  The cut vertices are the
+    vertices in two or more blocks, and a block m is a clique iff every
+    member x has (rows[x] | 1 << x) & m == m.
+    """
     n = g.n
+    rows = g.rows
     disc = [0] * n
     low = [0] * n
     timer = 1
-    edge_stack = []
-    raw_blocks = []
-    cuts = set()
-
-    # iterative DFS; frame = [vertex, parent, neighbor list, next index]
-    for root in range(n):
-        if disc[root]:
-            continue
-        stack = [[root, -1, g.neighbors(root), 0]]
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
+    masks = []
+    if n:
+        disc[0] = low[0] = timer
+        entered = [0]
+        stack = [[0, rows[0]]]
         while stack:
             frame = stack[-1]
-            v, parent, nbrs, i = frame
-            if i < len(nbrs):
-                frame[3] += 1
-                u = nbrs[i]
-                if u == parent:
-                    # skip one occurrence of the tree edge back to the parent
-                    frame[1] = -2
-                    continue
+            v, todo = frame
+            if todo:
+                bit = todo & -todo
+                frame[1] = todo ^ bit
+                u = bit.bit_length() - 1
                 if not disc[u]:
-                    edge_stack.append((v, u))
-                    disc[u] = low[u] = timer
                     timer += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append([u, v, g.neighbors(u), 0])
-                elif disc[u] < disc[v]:
-                    edge_stack.append((v, u))
-                    if disc[u] < low[v]:
-                        low[v] = disc[u]
-            else:
-                stack.pop()
-                if not stack:
-                    break
-                pv = stack[-1][0]
-                if low[v] < low[pv]:
-                    low[pv] = low[v]
-                if low[v] >= disc[pv]:
-                    # pv separates: everything stacked since (pv, v) is one block
-                    verts = set()
-                    while edge_stack:
-                        a, b = edge_stack.pop()
-                        verts.add(a)
-                        verts.add(b)
-                        if (a, b) == (pv, v):
-                            break
-                    if verts:
-                        raw_blocks.append(frozenset(verts))
-                    if pv != root or root_children > 1:
-                        cuts.add(pv)
-
-    if n == 1:
-        raw_blocks.append(frozenset({0}))
-    blocks = tuple(sorted(raw_blocks, key=lambda b: sorted(b)))
-    block_graph = True
-    for b in blocks:
-        bl = sorted(b)
-        for i, u in enumerate(bl):
-            for w in bl[i + 1:]:
-                if not g.has_edge(u, w):
-                    block_graph = False
-                    break
-            if not block_graph:
+                    disc[u] = low[u] = timer
+                    entered.append(u)
+                    stack.append([u, rows[u] & ~(1 << v)])
+                elif disc[u] < low[v]:
+                    low[v] = disc[u]
+                continue
+            stack.pop()
+            if not stack:
                 break
-        if not block_graph:
-            break
+            p = stack[-1][0]
+            if low[v] < low[p]:
+                low[p] = low[v]
+            if low[v] >= disc[p]:
+                # p separates: the vertices entered since v, and p, are one block
+                m = 1 << p
+                while True:
+                    w = entered.pop()
+                    m |= 1 << w
+                    if w == v:
+                        break
+                masks.append(m)
+    if timer < n or n == 0:
+        raise GraphError("block decomposition requires a connected nonempty graph")
+    if n == 1:
+        masks.append(1)
+    seen = cuts = 0
+    for m in masks:
+        cuts |= seen & m
+        seen |= m
+    block_graph = all((rows[x] | 1 << x) & m == m
+                      for m in masks for x in _members(m))
+    blocks = tuple(sorted((frozenset(_members(m)) for m in masks), key=sorted))
 
     central = None
     side = ()
@@ -548,4 +519,5 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
                     break
             if central is not None:
                 side = tuple(i for i in range(len(blocks)) if i != central)
-    return BlockDecomposition(blocks, frozenset(cuts), block_graph, central, side)
+    return BlockDecomposition(blocks, frozenset(_members(cuts)), block_graph,
+                              central, side)

@@ -462,7 +462,8 @@ class _PowerSums:
         for c in range(1, k):
             if c >= self.top:
                 if self.components is None:
-                    self.components = len(connected_components(self.g))
+                    self.components = len({ball[-1] | 1 << v
+                                           for v, ball in enumerate(self.balls)})
                 total += self.components * (k - c)
                 break
             rho = self.exact.get(c)

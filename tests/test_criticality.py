@@ -240,6 +240,12 @@ class TestDetourCriterion:
             with pytest.raises(ValueError):
                 detour_drop_criterion(cycle(5), (3, 4), u, v)
 
+    def test_rejects_edge_outside_graph(self):
+        g = path(4)
+        for e in ((g.n, 0), (0, g.n), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="not present"):
+                detour_drop_criterion(g, e, 0, 1)
+
     def test_false_when_graph_disconnects(self):
         # removing a bridge leaves infinite diameter; the criterion demands a
         # finite stretched diameter

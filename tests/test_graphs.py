@@ -244,6 +244,14 @@ class TestPredicates:
         assert not is_simplicial(path(3), 1)
         assert is_simplicial(path(3), 0)
 
+    def test_vertex_outside_graph_raises(self):
+        g = path(4)
+        for v in (-1, g.n):
+            with pytest.raises(GraphError, match="outside graph"):
+                is_leaf(g, v)
+            with pytest.raises(GraphError, match="outside graph"):
+                is_simplicial(g, v)
+
     def test_is_tree(self):
         assert is_tree(path(5))
         assert is_tree(Graph.empty(1))

@@ -6,13 +6,17 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from packcrit.corpus import all_graphs, load_corpus
+from packcrit.corpus import connected_graphs as connected_upto
 from packcrit.criticality import _carrier, _deletions, _drops
 from packcrit.graphs import max_independent_set
 from packcrit.solver import _PowerSums, _search, _twin_groups
 from packcrit import (
     Graph,
+    GraphError,
     all_pairs_distances,
     INFINITY,
+    block_decomposition,
+    connected_components,
     brute_force_chi_rho,
     canonical_key,
     criticality_report,
@@ -451,3 +455,85 @@ class TestDistances:
                 for m in range(g.n):
                     if d(i, m) < INFINITY and d(m, j) < INFINITY:
                         assert d(i, j) <= d(i, m) + d(m, j)
+
+
+def pieces(g, verts):
+    """Number of components of the subgraph of g induced on verts, by a
+    plain search over has_edge."""
+    left = set(verts)
+    count = 0
+    while left:
+        count += 1
+        todo = [left.pop()]
+        while todo:
+            x = todo.pop()
+            near = {y for y in left if g.has_edge(x, y)}
+            left -= near
+            todo.extend(near)
+    return count
+
+
+def cut_vertices(g):
+    """The vertices whose deletion adds a component."""
+    whole = pieces(g, range(g.n))
+    return {x for x in range(g.n)
+            if pieces(g, set(range(g.n)) - {x}) > whole}
+
+
+def blocks_by_definition(g):
+    """The maximal vertex sets S with |S| >= 2 whose induced subgraph is
+    connected and has no cut vertex; {0} alone for K1."""
+    if g.n == 1:
+        return {frozenset({0})}
+    good = [s for r in range(2, g.n + 1)
+            for s in map(frozenset, itertools.combinations(range(g.n), r))
+            if pieces(g, s) == 1 and all(pieces(g, s - {x}) == 1 for x in s)]
+    return {s for s in good if not any(s < t for t in good)}
+
+
+class TestBlockOracles:
+    """Blocks, cut vertices and components against their definitions, read
+    by searches that share no code with the package's."""
+
+    def test_blocks_exhaustive(self):
+        for g in [Graph.empty(1)] + list(connected_upto(6)):
+            bd = block_decomposition(g)
+            assert len(set(bd.blocks)) == len(bd.blocks)
+            assert set(bd.blocks) == blocks_by_definition(g)
+        for g in (Graph.empty(0), Graph.from_edges(4, [(0, 1), (2, 3)])):
+            try:
+                block_decomposition(g)
+            except GraphError:
+                continue
+            raise AssertionError("no GraphError on %r" % (g,))
+
+    def test_cut_vertices_and_cliques_exhaustive(self):
+        for g in [Graph.empty(1)] + list(connected_upto(6)):
+            bd = block_decomposition(g)
+            assert bd.cut_vertices == cut_vertices(g)
+            cliques = all(g.has_edge(u, v) for b in blocks_by_definition(g)
+                          for u, v in itertools.combinations(sorted(b), 2))
+            assert bd.is_block_graph == cliques
+
+    @SETTINGS
+    @given(connected_graphs(max_n=10))
+    def test_block_identities(self, g):
+        bd = block_decomposition(g)
+        assert bd.cut_vertices == cut_vertices(g)
+        for u, v in g.edges:
+            assert sum(u in b and v in b for b in bd.blocks) == 1
+        # the block-cut tree gives this for every connected graph; the edges
+        # fill every block exactly when each block is a clique
+        assert sum(len(b) - 1 for b in bd.blocks) == g.n - 1
+        assert bd.is_block_graph == (
+            g.edge_count == sum(len(b) * (len(b) - 1) // 2 for b in bd.blocks))
+
+    @SETTINGS
+    @given(graphs(max_n=10))
+    def test_components_are_finite_distance_classes(self, g):
+        d = all_pairs_distances(g).distance
+        classes = []
+        for v in range(g.n):
+            if not any(v in c for c in classes):
+                classes.append([u for u in range(g.n) if d(v, u) < INFINITY])
+        assert connected_components(g) == classes
